@@ -158,13 +158,18 @@ def _linearized_measurement(
 
 
 def predict_particles(
-    ensemble: ParticleEnsemble, model: SystemModel, k: int, rng: np.random.Generator
+    ensemble: ParticleEnsemble,
+    model: SystemModel,
+    k: int,
+    rng: np.random.Generator,
+    chol_q: Array,
 ) -> ParticleEnsemble:
-    """Propagate every particle through the motion model and add process noise."""
-    chol_q = _cholesky_or_zero(model.Q)
-    propagated = np.empty_like(ensemble.particles)
-    for i, x in enumerate(ensemble.particles):
-        propagated[i] = model.transition(x, k)
+    """Propagate the ensemble through the motion model and add process noise.
+
+    All particles go through one stacked transition call. chol_q is the
+    lower Cholesky factor of model.Q, factored once per run by the caller.
+    """
+    propagated = model.transition(ensemble.particles, k)
     noise = rng.standard_normal(propagated.shape) @ chol_q.T
     return ParticleEnsemble(particles=propagated + noise)
 
@@ -359,6 +364,7 @@ def run_filter(
         particles = mean0 + rng.standard_normal((config.particle_count, n)) @ chol0.T
         ensemble = ParticleEnsemble(particles=particles)
         update = _UPDATES[config.variant]
+        chol_q = _cholesky_or_zero(model.Q)
     state = FilterState(ensemble=ensemble, ekf_belief=GaussianBelief(mean0, cov0), step=0)
 
     results: list[tuple[Array, GaussianBelief]] = []
@@ -372,7 +378,7 @@ def run_filter(
             results.append((belief.mean.copy(), belief))
             continue
 
-        ensemble = predict_particles(state.ensemble, model, k, rng)
+        ensemble = predict_particles(state.ensemble, model, k, rng, chol_q)
         if config.covariance_source == "ekf-prediction":
             P_flow = predicted.covariance
         else:

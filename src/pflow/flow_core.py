@@ -40,7 +40,6 @@ class FlowCoefficients:
         xbar: Mean of the predicted Gaussian (the drift offset uses this
             fixed linearization point), shape (n_x,).
         Ph: P @ H, shape (n_x,).
-        M: P H^T H = outer(Ph, H), rank <= 1, shape (n_x, n_x).
         w: P H^T z / r, shape (n_x,).
         p: H P H^T, positive whenever H is nonzero.
         degenerate: True when H is (numerically) zero; the flow is then
@@ -53,10 +52,18 @@ class FlowCoefficients:
     z: float
     xbar: Array
     Ph: Array
-    M: Array
     w: Array
     p: float
     degenerate: bool
+
+    @property
+    def M(self) -> Array:
+        """P H^T H = outer(Ph, H), rank <= 1, shape (n_x, n_x); zero when degenerate.
+
+        Built on demand: the filters use only its rank-one factors.
+        """
+        n = self.Ph.shape[0]
+        return np.zeros((n, n)) if self.degenerate else np.outer(self.Ph, self.H)
 
 
 def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) -> FlowCoefficients:
@@ -65,14 +72,13 @@ def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) 
     if np.max(np.abs(H)) < DEGENERATE_H_TOL:
         return FlowCoefficients(
             P=P, H=H, r=r, z=z, xbar=xbar,
-            Ph=np.zeros(n), M=np.zeros((n, n)), w=np.zeros(n), p=0.0,
+            Ph=np.zeros(n), w=np.zeros(n), p=0.0,
             degenerate=True,
         )
     Ph = P @ H
     p = float(H @ Ph)
     w = Ph * (z / r)
-    M = np.outer(Ph, H)
-    return FlowCoefficients(P=P, H=H, r=r, z=z, xbar=xbar, Ph=Ph, M=M, w=w, p=p, degenerate=False)
+    return FlowCoefficients(P=P, H=H, r=r, z=z, xbar=xbar, Ph=Ph, w=w, p=p, degenerate=False)
 
 
 def validate_flow_inputs(P: Array, R: float) -> None:

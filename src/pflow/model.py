@@ -37,11 +37,19 @@ class SystemModel:
     with covariances Q (n_x x n_x) and R (n_z x n_z). Instances are
     immutable and safe to share across concurrent runs.
 
+    `transition` and `measurement` take either one state of shape (n_x,)
+    or a row stack of shape (N, n_x), and return one result per row:
+    (n_x,) or (N, n_x) for g, (n_z,) or (N, n_z) for h. Each row of a
+    stacked call must be bit-identical to the single-state call on that
+    row, because the filters move the whole ensemble in one call while
+    the EKF and the simulator call with one state. The Jacobians take a
+    single state only.
+
     Attributes:
         n_x: State dimension.
         n_z: Measurement dimension (1 for both benchmark models).
-        transition: g(x, k) -> next state mean, shape (n_x,).
-        measurement: h(x) -> measurement mean, shape (n_z,).
+        transition: g(x, k) -> next state mean, one row per state.
+        measurement: h(x) -> measurement mean, one row per state.
         transition_jacobian: dg/dx at (x, k), shape (n_x, n_x).
         measurement_jacobian: dh/dx at x, shape (n_z, n_x).
         Q: Process-noise covariance, symmetric positive definite.
@@ -92,12 +100,15 @@ def ungm_model() -> SystemModel:
     process-noise variance 10, measurement-noise variance 0.1.
     """
 
+    # x.T[0] is the state coordinate of one state or of every row in a
+    # stack; an elementwise form on x itself is slower on a single state.
     def transition(x: Array, k: int) -> Array:
-        x0 = x[0]
-        return np.array([0.5 * x0 + 25.0 * x0 / (1.0 + x0 * x0) + 8.0 * np.cos(1.2 * k)])
+        x0 = x.T[0]
+        return (0.5 * x0 + 25.0 * x0 / (1.0 + x0 * x0) + 8.0 * np.cos(1.2 * k)).reshape(x.shape)
 
     def measurement(x: Array) -> Array:
-        return np.array([x[0] * x[0] / 20.0])
+        x0 = x.T[0]
+        return (x0 * x0 / 20.0).reshape(x.shape)
 
     def transition_jacobian(x: Array, k: int) -> Array:
         x0 = x[0]
@@ -160,11 +171,13 @@ def random_coupled_model(dim: int, rng: np.random.Generator) -> SystemModel:
         Q = Q + _Q_JITTER * np.eye(dim)
         np.linalg.cholesky(Q)  # must succeed after jitter
 
+    # One matrix-vector product per row: bit-identical to F @ x and x @ x
+    # on every row, which a stack-wide X @ F.T is not.
     def transition(x: Array, k: int) -> Array:
-        return F @ x
+        return np.matmul(F, x[..., np.newaxis])[..., 0]
 
     def measurement(x: Array) -> Array:
-        return np.array([x @ x])
+        return np.matmul(x[..., np.newaxis, :], x[..., :, np.newaxis])[..., 0]
 
     def transition_jacobian(x: Array, k: int) -> Array:
         return F
@@ -191,7 +204,9 @@ def simulate(
 
     x_k = g(x_{k-1}, k) + w_k and z_k = h(x_k) + v_k for k = 1..steps,
     with the time index of the first transition being 1. Deterministic
-    for a fixed rng state.
+    for a fixed rng state. The noise is drawn in one block in the order
+    w_1, v_1, w_2, v_2, ..., and the measurements are taken in one
+    stacked call after the state recursion.
 
     Args:
         model: The system to simulate.
@@ -206,14 +221,17 @@ def simulate(
     chol_q = _cholesky_or_zero(model.Q)
     chol_r = _cholesky_or_zero(model.R)
 
+    noise = rng.standard_normal((steps, model.n_x + model.n_z))
+    state_noise, measurement_noise = noise[:, : model.n_x], noise[:, model.n_x :]
+
     states = np.zeros((steps, model.n_x))
-    measurements = np.zeros((steps, model.n_z))
     x = x0
     for k in range(1, steps + 1):
-        x = model.transition(x, k) + chol_q @ rng.standard_normal(model.n_x)
-        z = model.measurement(x) + chol_r @ rng.standard_normal(model.n_z)
+        x = model.transition(x, k) + chol_q @ state_noise[k - 1]
         states[k - 1] = x
-        measurements[k - 1] = z
+    measurements = model.measurement(states) + np.matmul(
+        chol_r, measurement_noise[..., np.newaxis]
+    )[..., 0]
     return Trajectory(states=states, measurements=measurements, steps=steps)
 
 

@@ -6,14 +6,17 @@ from pflow.model import SystemModel
 
 
 def linear_model(F, Q, H, R) -> SystemModel:
-    """A linear-Gaussian system model from plain matrices."""
+    """A linear-Gaussian system model from plain matrices.
+
+    g and h accept one state or a row stack, as SystemModel requires.
+    """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     return SystemModel(
         n_x=F.shape[0],
         n_z=H.shape[0],
-        transition=lambda x, k: F @ x,
-        measurement=lambda x: H @ x,
+        transition=lambda x, k: np.matmul(F, x[..., np.newaxis])[..., 0],
+        measurement=lambda x: np.matmul(H, x[..., np.newaxis])[..., 0],
         transition_jacobian=lambda x, k: F,
         measurement_jacobian=lambda x: H,
         Q=np.atleast_2d(np.asarray(Q, dtype=float)),

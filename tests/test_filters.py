@@ -18,7 +18,7 @@ from pflow.filters import (
     predict_particles,
     run_filter,
 )
-from pflow.model import SystemModel, Trajectory, simulate, ungm_model
+from pflow.model import SystemModel, Trajectory, random_coupled_model, simulate, ungm_model
 from pflow.oracle import kalman_posterior
 
 
@@ -31,8 +31,8 @@ def zero_measurement_model(n=2):
     F = 0.5 * np.eye(n)
     return SystemModel(
         n_x=n, n_z=1,
-        transition=lambda x, k: F @ x,
-        measurement=lambda x: np.zeros(1),
+        transition=lambda x, k: np.matmul(F, x[..., np.newaxis])[..., 0],
+        measurement=lambda x: np.zeros(x.shape[:-1] + (1,)),
         transition_jacobian=lambda x, k: F,
         measurement_jacobian=lambda x: np.zeros((1, n)),
         Q=np.eye(n), R=np.eye(1),
@@ -87,21 +87,38 @@ class TestPointEstimate:
 class TestPredictParticles:
     def test_noise_free_follows_transition(self):
         m = linear_model([[0.5]], [[0.0]], [[1.0]], [[1.0]])
-        out = predict_particles(ensemble([4.0], [2.0]), m, 1, np.random.default_rng(0))
+        out = predict_particles(
+            ensemble([4.0], [2.0]), m, 1, np.random.default_rng(0), np.zeros((1, 1))
+        )
         np.testing.assert_allclose(out.particles, [[2.0], [1.0]])
 
     def test_fixed_seed_reproducible(self):
         m = ungm_model()
         ens = ensemble([0.0], [1.0], [2.0])
-        a = predict_particles(ens, m, 1, np.random.default_rng(5))
-        b = predict_particles(ens, m, 1, np.random.default_rng(5))
+        chol_q = np.linalg.cholesky(m.Q)
+        a = predict_particles(ens, m, 1, np.random.default_rng(5), chol_q)
+        b = predict_particles(ens, m, 1, np.random.default_rng(5), chol_q)
         assert np.array_equal(a.particles, b.particles)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_equals_per_row_reference(self, coupled):
+        m = random_coupled_model(100, np.random.default_rng(4)) if coupled else ungm_model()
+        ens = ParticleEnsemble(
+            particles=10.0 * np.random.default_rng(8).standard_normal((100, m.n_x))
+        )
+        chol_q = np.linalg.cholesky(m.Q)
+        out = predict_particles(ens, m, 3, np.random.default_rng(5), chol_q)
+
+        rng = np.random.default_rng(5)
+        propagated = np.array([m.transition(x, 3) for x in ens.particles])
+        reference = propagated + rng.standard_normal(propagated.shape) @ chol_q.T
+        assert np.array_equal(out.particles, reference)
 
     def test_ungm_step_adds_recorded_draw(self):
         m = ungm_model()
         rng = np.random.default_rng(5)
         draw = np.sqrt(10.0) * np.random.default_rng(5).standard_normal((1, 1))
-        out = predict_particles(ensemble([0.0]), m, 1, rng)
+        out = predict_particles(ensemble([0.0]), m, 1, rng, np.linalg.cholesky(m.Q))
         np.testing.assert_allclose(out.particles, 2.898862035813389 + draw, rtol=1e-12)
 
 
@@ -401,7 +418,7 @@ class TestRunFilter:
             particles = rng2.standard_normal((15, 2))
             ens = ParticleEnsemble(particles=particles)
             for k in range(1, 4):
-                ens = predict_particles(ens, m, k, rng2)
+                ens = predict_particles(ens, m, k, rng2, np.linalg.cholesky(m.Q))
                 np.testing.assert_allclose(results[k - 1][0], point_estimate(ens), rtol=1e-12)
 
     def test_divergence_reports_step_index(self):

@@ -80,12 +80,81 @@ class TestRandomCoupledModel:
             random_coupled_model(3, SingularRng())
 
 
+def _models():
+    return {
+        "ungm": ungm_model(),
+        "coupled": random_coupled_model(100, np.random.default_rng(3)),
+        "linear": linear_model([[0.3, 0.1], [0.0, 0.5]], np.eye(2), [[1.0, 2.0]], [[1.0]]),
+    }
+
+
+class TestRowStackContract:
+    """A stacked callback call equals the single-state calls, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ungm", "coupled", "linear"])
+    def test_stacked_transition_equals_rows(self, name):
+        m = _models()[name]
+        X = 10.0 * np.random.default_rng(1).standard_normal((50, m.n_x))
+        stacked = m.transition(X, 7)
+        assert stacked.shape == (50, m.n_x)
+        assert np.array_equal(stacked, np.array([m.transition(x, 7) for x in X]))
+
+    @pytest.mark.parametrize("name", ["ungm", "coupled", "linear"])
+    def test_stacked_measurement_equals_rows(self, name):
+        m = _models()[name]
+        X = 10.0 * np.random.default_rng(2).standard_normal((50, m.n_x))
+        stacked = m.measurement(X)
+        assert stacked.shape == (50, m.n_z)
+        assert np.array_equal(stacked, np.array([m.measurement(x) for x in X]))
+
+    @pytest.mark.parametrize("name", ["ungm", "coupled", "linear"])
+    def test_single_state_shapes(self, name):
+        m = _models()[name]
+        x = np.ones(m.n_x)
+        assert m.transition(x, 1).shape == (m.n_x,)
+        assert m.measurement(x).shape == (m.n_z,)
+
+
+def _simulate_per_step(model, x0, steps, rng):
+    """Reference: one transition, measurement and noise draw per step."""
+    chol_q = np.linalg.cholesky(model.Q)
+    chol_r = np.linalg.cholesky(model.R)
+    states = np.zeros((steps, model.n_x))
+    measurements = np.zeros((steps, model.n_z))
+    x = x0
+    for k in range(1, steps + 1):
+        x = model.transition(x, k) + chol_q @ rng.standard_normal(model.n_x)
+        z = model.measurement(x) + chol_r @ rng.standard_normal(model.n_z)
+        states[k - 1] = x
+        measurements[k - 1] = z
+    return states, measurements
+
+
 class TestSimulate:
     def test_zero_steps_is_empty(self):
         traj = simulate(ungm_model(), np.zeros(1), 0, np.random.default_rng(0))
         assert traj.steps == 0
         assert traj.states.shape == (0, 1)
         assert traj.measurements.shape == (0, 1)
+
+    @pytest.mark.parametrize("name", ["ungm", "coupled"])
+    def test_zero_steps_draws_nothing(self, name):
+        m = _models()[name]
+        rng = np.random.default_rng(0)
+        traj = simulate(m, np.zeros(m.n_x), 0, rng)
+        assert traj.states.shape == (0, m.n_x)
+        assert traj.measurements.shape == (0, 1)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+    @pytest.mark.parametrize("name", ["ungm", "coupled", "linear"])
+    def test_equals_per_step_reference(self, name):
+        m = _models()[name]
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        traj = simulate(m, np.zeros(m.n_x), 30, rng)
+        states, measurements = _simulate_per_step(m, np.zeros(m.n_x), 30, ref_rng)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.measurements, measurements)
+        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
 
     def test_noise_free_follows_recursion(self):
         m = ungm_model()
