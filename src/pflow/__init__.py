@@ -6,128 +6,54 @@ measurements the flow ODE solves in closed form, which this package
 implements together with Euler-integrated reference variants, the
 parallel EKF, independent numerical oracles for every closed-form
 expression, and a Monte Carlo benchmark harness.
+
+The names below are the entry points; everything else is importable
+from its submodule (`pflow.flow_core`, `pflow.filters`, `pflow.ekf`,
+`pflow.model`, `pflow.oracle`, `pflow.bench`).
 """
 
 from .bench import (
     BenchConfig,
-    CSV_HEADER,
-    FILTER_NAMES,
-    ReportRow,
-    ReportTable,
     RunRecord,
-    derive_seed,
     emit_csv,
     emit_markdown,
     emit_scatter_svg,
     normalize_vs_ekf,
-    rmse,
     run_benchmark,
 )
-from .ekf import GaussianBelief, ekf_predict, ekf_update
-from .filters import (
-    FilterConfig,
-    FilterDivergenceError,
-    FilterState,
-    ParticleEnsemble,
-    VARIANTS,
-    aedh_update,
-    edh_update,
-    lambda_grid,
-    ledh_update,
-    naedh_update,
-    point_estimate,
-    predict_particles,
-    run_filter,
-)
+from .filters import FILTER_NAMES, FilterConfig, FilterDivergenceError, run_filter
 from .flow_core import (
     FlowCoefficients,
     analytic_flow_map,
-    apply_flow,
     apply_flow_ensemble,
-    beta_factor,
     build_coefficients,
-    drift_matrix_A,
-    drift_vector_b,
-    inhomogeneous_sum,
-    k_eval,
-    psi_term,
-    transition_matrix,
 )
-from .model import (
-    SystemModel,
-    Trajectory,
-    jacobian_check,
-    random_coupled_model,
-    simulate,
-    ungm_model,
-)
-from .oracle import (
-    QuadratureSpec,
-    commutator_norm,
-    integrate_flow_batch,
-    integrate_flow_numeric,
-    kalman_posterior,
-    matrix_exponential,
-    quadrature_inhomogeneous,
-    verify_closed_forms,
-)
+from .model import SystemModel, Trajectory, random_coupled_model, simulate, ungm_model
+from .oracle import ORACLE_TOLERANCES, verify_closed_forms
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig",
-    "CSV_HEADER",
     "FILTER_NAMES",
     "FilterConfig",
     "FilterDivergenceError",
-    "FilterState",
     "FlowCoefficients",
-    "GaussianBelief",
-    "ParticleEnsemble",
-    "QuadratureSpec",
-    "ReportRow",
-    "ReportTable",
+    "ORACLE_TOLERANCES",
     "RunRecord",
     "SystemModel",
     "Trajectory",
-    "VARIANTS",
-    "aedh_update",
     "analytic_flow_map",
-    "apply_flow",
     "apply_flow_ensemble",
-    "beta_factor",
     "build_coefficients",
-    "commutator_norm",
-    "derive_seed",
-    "drift_matrix_A",
-    "drift_vector_b",
-    "edh_update",
-    "ekf_predict",
-    "ekf_update",
     "emit_csv",
     "emit_markdown",
     "emit_scatter_svg",
-    "inhomogeneous_sum",
-    "integrate_flow_batch",
-    "integrate_flow_numeric",
-    "jacobian_check",
-    "k_eval",
-    "kalman_posterior",
-    "lambda_grid",
-    "ledh_update",
-    "matrix_exponential",
-    "naedh_update",
     "normalize_vs_ekf",
-    "point_estimate",
-    "predict_particles",
-    "psi_term",
-    "quadrature_inhomogeneous",
     "random_coupled_model",
-    "rmse",
     "run_benchmark",
     "run_filter",
     "simulate",
-    "transition_matrix",
     "ungm_model",
     "verify_closed_forms",
 ]

@@ -12,24 +12,15 @@ are emitted as CSV, markdown, and an SVG scatter plot.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .filters import FilterConfig, FilterDivergenceError, run_filter
+from .filters import FILTER_NAMES, FilterConfig, FilterDivergenceError, run_filter
 from .model import SystemModel, random_coupled_model, simulate, ungm_model
 
 Array = np.ndarray
-
-FILTER_NAMES = ("EKF", "EDH", "LEDH", "A-EDH", "NA-EDH")
-_VARIANT_FOR = {
-    "EKF": "EKF-only",
-    "EDH": "EDH",
-    "LEDH": "LEDH",
-    "A-EDH": "A-EDH",
-    "NA-EDH": "NA-EDH",
-}
 
 # LEDH at high dimension with large ensembles costs minutes per run; the
 # default sweep trims it and the full sweep is opt-in.
@@ -219,7 +210,7 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
                     if name == "LEDH" and _ledh_trimmed(config, dim, particles):
                         continue
                     filter_config = FilterConfig(
-                        variant=_VARIANT_FOR[name],
+                        variant=name,
                         particle_count=particles,
                         lambda_steps=config.lambda_steps,
                         init_mean=init_mean,
@@ -535,8 +526,3 @@ def config_from_mapping(values: Mapping) -> BenchConfig:
         else:
             raise ValueError(f"unknown benchmark config key {key!r}")
     return BenchConfig(**kwargs)
-
-
-def with_overrides(config: BenchConfig, **overrides) -> BenchConfig:
-    """A copy of the config with the given fields replaced."""
-    return replace(config, **overrides)

@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .bench import (
     BenchConfig,
-    FILTER_NAMES,
     config_from_mapping,
     emit_csv,
     emit_markdown,
@@ -27,6 +26,7 @@ from .bench import (
     parse_config_file,
     run_benchmark,
 )
+from .filters import FILTER_NAMES
 from .model import random_coupled_model, simulate, ungm_model
 from .oracle import ORACLE_TOLERANCES, verify_closed_forms
 

@@ -1,7 +1,7 @@
 """The five estimator pipelines: EKF baseline plus four particle-flow updates.
 
-Variants:
-    EKF-only - the parallel extended Kalman filter by itself
+Filters:
+    EKF      - the parallel extended Kalman filter by itself
     EDH      - Euler integration of the flow ODE, one linearization per
                pseudo-time step at the ensemble mean
     LEDH     - localized variant, relinearized at every particle
@@ -9,7 +9,7 @@ Variants:
     NA-EDH   - the closed-form map applied over N pseudo-time sub-intervals,
                relinearizing between sub-intervals
 
-Every variant runs next to an EKF whose predicted covariance feeds the
+Every flow filter runs next to an EKF whose predicted covariance feeds the
 flow drift. The drift offset uses the ensemble mean where the flow
 started (pseudo-time 0); the per-step ensemble mean only moves the
 linearization point of the measurement function. Because the drift is
@@ -31,6 +31,7 @@ from .ekf import GaussianBelief, ekf_predict, ekf_update
 from .flow_core import (
     DEGENERATE_H_TOL,
     _assemble_coefficients,
+    _drift_offset_scale,
     apply_flow_ensemble,
     drift_matrix_A,
     drift_vector_b,
@@ -40,10 +41,7 @@ from .model import SystemModel, Trajectory, _cholesky_or_zero
 
 Array = np.ndarray
 
-VARIANTS = ("EKF-only", "EDH", "LEDH", "A-EDH", "NA-EDH")
-
-_SAMPLE_COV_JITTER = 1e-9
-_EXP_SCHEDULE_RATIO = 1.2
+FILTER_NAMES = ("EKF", "EDH", "LEDH", "A-EDH", "NA-EDH")
 
 
 class FilterDivergenceError(RuntimeError):
@@ -54,48 +52,15 @@ class FilterDivergenceError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleEnsemble:
-    """A set of state-space points representing a distribution.
-
-    Attributes:
-        particles: Array of shape (count, n_x).
-    """
-
-    particles: Array
-
-    @property
-    def count(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.particles.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """Loop state of one estimator: ensemble, parallel EKF belief, time index.
-
-    The ensemble and belief always share the state dimension.
-    """
-
-    ensemble: Optional[ParticleEnsemble]
-    ekf_belief: GaussianBelief
-    step: int
-
-
 @dataclass
 class FilterConfig:
     """Configuration of one estimator pipeline.
 
     Attributes:
-        variant: One of VARIANTS.
+        variant: One of FILTER_NAMES.
         particle_count: Ensemble size, >= 1.
-        lambda_steps: Number of pseudo-time steps for EDH/LEDH/NA-EDH.
-        lambda_schedule: "uniform" (step 1/N) or "exponential"
-            (geometrically increasing steps).
-        covariance_source: "ekf-prediction" (default) or "ensemble-sample".
+        lambda_steps: Number of uniform pseudo-time steps for
+            EDH/LEDH/NA-EDH.
         init_mean: Initial belief mean; zeros when None.
         init_cov: Initial belief covariance; identity when None.
     """
@@ -103,84 +68,55 @@ class FilterConfig:
     variant: str = "A-EDH"
     particle_count: int = 100
     lambda_steps: int = 10
-    lambda_schedule: str = "uniform"
-    covariance_source: str = "ekf-prediction"
     init_mean: Optional[Array] = field(default=None, repr=False)
     init_cov: Optional[Array] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.variant not in FILTER_NAMES:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {FILTER_NAMES}")
         if self.particle_count < 1:
             raise ValueError("particle_count must be >= 1")
         if self.lambda_steps < 1:
             raise ValueError("lambda_steps must be >= 1")
-        if self.lambda_schedule not in ("uniform", "exponential"):
-            raise ValueError(f"unknown lambda_schedule {self.lambda_schedule!r}")
-        if self.covariance_source not in ("ekf-prediction", "ensemble-sample"):
-            raise ValueError(f"unknown covariance_source {self.covariance_source!r}")
 
 
-def lambda_grid(n_steps: int, schedule: str = "uniform", ratio: float = _EXP_SCHEDULE_RATIO) -> Array:
-    """Pseudo-time grid 0 = lambda_0 < ... < lambda_N = 1.
-
-    The uniform schedule uses step 1/N; the exponential schedule grows
-    each step by the given ratio.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if schedule == "uniform":
-        return np.linspace(0.0, 1.0, n_steps + 1)
-    if schedule == "exponential":
-        if n_steps == 1:
-            return np.array([0.0, 1.0])
-        steps = ratio ** np.arange(n_steps)
-        grid = np.concatenate([[0.0], np.cumsum(steps / steps.sum())])
-        grid[-1] = 1.0
-        return grid
-    raise ValueError(f"unknown schedule {schedule!r}")
+def lambda_grid(n_steps: int) -> Array:
+    """Uniform pseudo-time grid 0 = lambda_0 < ... < lambda_N = 1."""
+    return np.linspace(0.0, 1.0, n_steps + 1)
 
 
-def point_estimate(ensemble: ParticleEnsemble) -> Array:
-    """Arithmetic mean of the particles."""
-    return ensemble.particles.mean(axis=0)
-
-
-def _linearized_measurement(
-    model: SystemModel, z: Array, x_lin: Array, H: Array
-) -> Array:
-    """Pseudo-measurement of the model linearized at x_lin.
+def _linearized_measurement(z: Array, h_lin: Array, H: Array, x_lin: Array) -> Array:
+    """Pseudo-measurement of the model linearized at x_lin, given h_lin = h(x_lin).
 
     z - h(x_lin) + H x_lin; reduces to z when h is linear through the
     origin.
     """
-    return z - model.measurement(x_lin) + H @ x_lin
+    return z - h_lin + H @ x_lin
 
 
 def predict_particles(
-    ensemble: ParticleEnsemble,
+    particles: Array,
     model: SystemModel,
     k: int,
     rng: np.random.Generator,
     chol_q: Array,
-) -> ParticleEnsemble:
-    """Propagate the ensemble through the motion model and add process noise.
+) -> Array:
+    """Propagate the (N, n_x) particles through the motion model and add process noise.
 
     All particles go through one stacked transition call. chol_q is the
     lower Cholesky factor of model.Q, factored once per run by the caller.
     """
-    propagated = model.transition(ensemble.particles, k)
-    noise = rng.standard_normal(propagated.shape) @ chol_q.T
-    return ParticleEnsemble(particles=propagated + noise)
+    propagated = model.transition(particles, k)
+    return propagated + rng.standard_normal(propagated.shape) @ chol_q.T
 
 
 def edh_update(
-    ensemble: ParticleEnsemble,
+    particles: Array,
     P_pred: Array,
     model: SystemModel,
     z: Array,
     config: FilterConfig,
-) -> ParticleEnsemble:
+) -> Array:
     """Euler integration of the flow ODE with per-step relinearization.
 
     Each pseudo-time step relinearizes the measurement function at the
@@ -188,8 +124,8 @@ def edh_update(
     by one explicit Euler step.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = lambda_grid(config.lambda_steps, config.lambda_schedule)
-    X = ensemble.particles.copy()
+    grid = lambda_grid(config.lambda_steps)
+    X = particles.copy()
     xbar0 = X.mean(axis=0)
 
     for j in range(1, grid.size):
@@ -199,29 +135,30 @@ def edh_update(
         H = np.atleast_2d(model.measurement_jacobian(xbar_j))
         if np.max(np.abs(H)) < DEGENERATE_H_TOL:
             continue
-        z_lin = _linearized_measurement(model, z, xbar_j, H)
+        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H, xbar_j)
         A = drift_matrix_A(P_pred, H, model.R, lam)
         b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
         X = X + (X @ A.T + b) * dlam
-    return ParticleEnsemble(particles=X)
+    return X
 
 
 def ledh_update(
-    ensemble: ParticleEnsemble,
+    particles: Array,
     P_pred: Array,
     model: SystemModel,
     z: Array,
     config: FilterConfig,
-) -> ParticleEnsemble:
+) -> Array:
     """Localized Euler flow: drift rebuilt per particle.
 
     Identical to edh_update except that the measurement function is
     linearized at each particle's current position, so every particle
-    sees its own drift.
+    sees its own drift. The measurement function is evaluated at all
+    particles in one stacked call per pseudo-time step.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = lambda_grid(config.lambda_steps, config.lambda_schedule)
-    X = ensemble.particles.copy()
+    grid = lambda_grid(config.lambda_steps)
+    X = particles.copy()
     xbar0 = X.mean(axis=0)
     scalar_measurement = model.n_z == 1
     r = float(model.R[0, 0]) if scalar_measurement else None
@@ -230,12 +167,13 @@ def ledh_update(
         lam = grid[j]
         dlam = grid[j] - grid[j - 1]
         moves = np.zeros_like(X)
+        hX = model.measurement(X)
         for i in range(X.shape[0]):
             x = X[i]
             H = np.atleast_2d(model.measurement_jacobian(x))
             if np.max(np.abs(H)) < DEGENERATE_H_TOL:
                 continue
-            z_lin = _linearized_measurement(model, z, x, H)
+            z_lin = _linearized_measurement(z, hX[i], H, x)
             if scalar_measurement:
                 # Rank-one drift in its cancellation-free form, without
                 # materializing the matrix.
@@ -243,16 +181,14 @@ def ledh_update(
                 Ph = P_pred @ h
                 p = float(h @ Ph)
                 k = lam * p + r
-                b_scale = (
-                    float(z_lin[0]) * (lam * p + 2.0 * r) - r * float(h @ xbar0)
-                ) / (2.0 * k * k)
+                b_scale = _drift_offset_scale(float(z_lin[0]), float(h @ xbar0), p, r, lam)
                 moves[i] = (b_scale - 0.5 * float(h @ x) / k) * Ph
             else:
                 A = drift_matrix_A(P_pred, H, model.R, lam)
                 b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
                 moves[i] = A @ x + b
         X = X + moves * dlam
-    return ParticleEnsemble(particles=X)
+    return X
 
 
 def _require_scalar_measurement(model: SystemModel, name: str) -> None:
@@ -261,60 +197,60 @@ def _require_scalar_measurement(model: SystemModel, name: str) -> None:
 
 
 def aedh_update(
-    ensemble: ParticleEnsemble,
+    particles: Array,
     P_pred: Array,
     model: SystemModel,
     z: Array,
     config: FilterConfig,
-) -> ParticleEnsemble:
+) -> Array:
     """Single-step analytic flow: one linearization, one affine map.
 
     The measurement function is linearized once at the ensemble mean and
     the closed-form map over the whole pseudo-time interval moves every
     particle. On a strongly nonlinear h this single linearization can
     trail the EKF; the relinearization of `naedh_update` is the remedy.
+    P_pred must be SPD and R positive; run_filter checks its inputs once
+    per run and the EKF keeps its predicted covariance SPD.
     """
     _require_scalar_measurement(model, "aedh_update")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     r = float(model.R[0, 0])
-    validate_flow_inputs(P_pred, r)
-    xbar = ensemble.particles.mean(axis=0)
+    xbar = particles.mean(axis=0)
     H = np.asarray(model.measurement_jacobian(xbar), dtype=float).reshape(-1)
-    z_lin = _linearized_measurement(model, z, xbar, H[np.newaxis, :])
+    z_lin = _linearized_measurement(z, model.measurement(xbar), H[np.newaxis, :], xbar)
     coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin[0]), xbar)
-    return ParticleEnsemble(particles=apply_flow_ensemble(coeffs, ensemble.particles, 1.0, 0.0))
+    return apply_flow_ensemble(coeffs, particles, 1.0, 0.0)
 
 
 def naedh_update(
-    ensemble: ParticleEnsemble,
+    particles: Array,
     P_pred: Array,
     model: SystemModel,
     z: Array,
     config: FilterConfig,
-) -> ParticleEnsemble:
+) -> Array:
     """N-step analytic flow: exact sub-interval maps with relinearization.
 
     Between sub-intervals the measurement function is relinearized at the
     current ensemble mean, restoring the spatial adaptivity that the
     single-step map gives up. With a linear measurement all sub-maps
-    compose exactly into the single-step map.
+    compose exactly into the single-step map. Same input conditions as
+    aedh_update.
     """
     _require_scalar_measurement(model, "naedh_update")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     r = float(model.R[0, 0])
-    # P is shared by every sub-interval; validate it once, not per substep.
-    validate_flow_inputs(P_pred, r)
-    grid = lambda_grid(config.lambda_steps, config.lambda_schedule)
-    X = ensemble.particles.copy()
+    grid = lambda_grid(config.lambda_steps)
+    X = particles
     xbar0 = X.mean(axis=0)
 
     for j in range(1, grid.size):
         xbar_j = X.mean(axis=0)
         H = np.asarray(model.measurement_jacobian(xbar_j), dtype=float).reshape(-1)
-        z_lin = _linearized_measurement(model, z, xbar_j, H[np.newaxis, :])
+        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H[np.newaxis, :], xbar_j)
         coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin[0]), xbar0)
         X = apply_flow_ensemble(coeffs, X, grid[j], grid[j - 1])
-    return ParticleEnsemble(particles=X)
+    return X
 
 
 _UPDATES = {
@@ -325,13 +261,6 @@ _UPDATES = {
 }
 
 
-def _ensemble_covariance(ensemble: ParticleEnsemble) -> Array:
-    X = ensemble.particles
-    centered = X - X.mean(axis=0)
-    denom = max(X.shape[0] - 1, 1)
-    return centered.T @ centered / denom + _SAMPLE_COV_JITTER * np.eye(X.shape[1])
-
-
 def run_filter(
     model: SystemModel,
     trajectory: Trajectory,
@@ -340,54 +269,46 @@ def run_filter(
 ) -> list[tuple[Array, GaussianBelief]]:
     """Run one estimator over a trajectory.
 
-    Per time step: EKF prediction, particle prediction, flow update,
-    point estimate (ensemble mean), EKF measurement update. The flow
-    drift uses the EKF predicted covariance unless the config selects the
-    ensemble sample covariance.
+    Per time step: EKF prediction, particle prediction, flow update with
+    the EKF predicted covariance, point estimate (ensemble mean), EKF
+    measurement update.
 
     Returns:
         One (point estimate, posterior belief) pair per time step. For
-        the EKF-only variant the point estimate is the EKF posterior mean.
+        the EKF the point estimate is the EKF posterior mean.
 
     Raises:
         FilterDivergenceError: If a flow update produces nonfinite
             particles; carries the failing step index.
+        ValueError: For A-EDH and NA-EDH, before the first step, if R is
+            not positive or the initial covariance is not SPD.
     """
     n = model.n_x
     mean0 = np.zeros(n) if config.init_mean is None else np.asarray(config.init_mean, dtype=float)
     cov0 = np.eye(n) if config.init_cov is None else np.asarray(config.init_cov, dtype=float)
+    belief = GaussianBelief(mean0, cov0)
 
-    ekf_only = config.variant == "EKF-only"
-    ensemble = None
-    if not ekf_only:
+    particles = None
+    if config.variant != "EKF":
+        if config.variant in ("A-EDH", "NA-EDH"):
+            # The closed-form map needs r > 0 and an SPD P. The EKF keeps P
+            # SPD from an SPD start, so only the run's inputs are checked.
+            validate_flow_inputs(cov0, model.R)
         chol0 = np.linalg.cholesky(cov0)
         particles = mean0 + rng.standard_normal((config.particle_count, n)) @ chol0.T
-        ensemble = ParticleEnsemble(particles=particles)
         update = _UPDATES[config.variant]
         chol_q = _cholesky_or_zero(model.Q)
-    state = FilterState(ensemble=ensemble, ekf_belief=GaussianBelief(mean0, cov0), step=0)
 
     results: list[tuple[Array, GaussianBelief]] = []
     for k in range(1, trajectory.steps + 1):
-        predicted = ekf_predict(state.ekf_belief, model, k)
+        predicted = ekf_predict(belief, model, k)
         z = trajectory.measurements[k - 1]
-
-        if ekf_only:
-            belief = ekf_update(predicted, model, z)
-            state = FilterState(ensemble=None, ekf_belief=belief, step=k)
-            results.append((belief.mean.copy(), belief))
-            continue
-
-        ensemble = predict_particles(state.ensemble, model, k, rng, chol_q)
-        if config.covariance_source == "ekf-prediction":
-            P_flow = predicted.covariance
-        else:
-            P_flow = _ensemble_covariance(ensemble)
-        ensemble = update(ensemble, P_flow, model, z, config)
-        if not np.all(np.isfinite(ensemble.particles)):
-            raise FilterDivergenceError(step=k)
-        estimate = point_estimate(ensemble)
+        if particles is not None:
+            particles = predict_particles(particles, model, k, rng, chol_q)
+            particles = update(particles, predicted.covariance, model, z, config)
+            if not np.all(np.isfinite(particles)):
+                raise FilterDivergenceError(step=k)
         belief = ekf_update(predicted, model, z)
-        state = FilterState(ensemble=ensemble, ekf_belief=belief, step=k)
+        estimate = belief.mean.copy() if particles is None else particles.mean(axis=0)
         results.append((estimate, belief))
     return results

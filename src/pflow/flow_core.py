@@ -145,6 +145,16 @@ def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
     return -0.5 * PHt @ np.linalg.solve(S, H)
 
 
+def _drift_offset_scale(z: float, h_xbar: float, p: float, r: float, lam: float) -> float:
+    """Scalar-measurement drift offset as a multiple of P H^T.
+
+    (z (lam p + 2r) - r H xbar) / (2 k(lam)^2) with p = H P H^T and
+    k = lam p + r.
+    """
+    k = lam * p + r
+    return (z * (lam * p + 2.0 * r) - r * h_xbar) / (2.0 * k * k)
+
+
 def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: float) -> Array:
     """Flow drift offset (I + 2 lambda A)((I + lambda A) P H^T R^-1 z + A xbar).
 
@@ -164,9 +174,7 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
         r = float(R[0, 0])
         Ph = P @ h
         p = float(h @ Ph)
-        k = lam * p + r
-        scale = (float(z[0]) * (lam * p + 2.0 * r) - r * float(h @ xbar)) / (2.0 * k * k)
-        return Ph * scale
+        return Ph * _drift_offset_scale(float(z[0]), float(h @ xbar), p, r, lam)
 
     A = drift_matrix_A(P, H, R, lam)
     v = P @ H.T @ np.linalg.solve(R, z)
@@ -276,23 +284,11 @@ def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tupl
     return transition_matrix(coeffs, lam, lam0), inhomogeneous_sum(coeffs, lam, lam0)
 
 
-def apply_flow(coeffs: FlowCoefficients, x: Array, lam: float, lam0: float) -> Array:
-    """Move a single state through the closed-form flow map."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    _check_interval(lam, lam0)
-    if coeffs.degenerate:
-        return x.copy()
-    ratio = _sqrt_k_ratio(coeffs, lam, lam0)
-    d = inhomogeneous_sum(coeffs, lam, lam0)
-    # Phi @ x exploiting the rank-one structure of M.
-    return x + ((ratio - 1.0) / coeffs.p) * float(coeffs.H @ x) * coeffs.Ph + d
-
-
 def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, lam0: float) -> Array:
-    """Move a whole (count, n_x) ensemble through the flow map.
+    """Move a (count, n_x) array of states through the flow map.
 
-    Identical to apply_flow row by row, but the rank-one structure keeps
-    the cost at O(count * n_x) instead of a dense matrix product.
+    Each row x goes to Phi @ x + d, but the rank-one structure keeps the
+    cost at O(count * n_x) instead of a dense matrix product.
     """
     _check_interval(lam, lam0)
     if coeffs.degenerate:

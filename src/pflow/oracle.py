@@ -80,6 +80,38 @@ def _drift_functions(
     return a_fn, b_fn
 
 
+def _integrate_fixed_step(
+    rhs: Callable[[float, Array], Array],
+    x: Array,
+    lambda0: float,
+    lambda1: float,
+    steps: int,
+    method: str,
+) -> Array:
+    """Integrate dx/dlambda = rhs(lambda, x) over `steps` equal steps.
+
+    method is "euler" (right-hand side at the left endpoint) or "rk4"
+    (classical fourth order). x may be one state or a row stack.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
+    h = (lambda1 - lambda0) / steps
+    lam = lambda0
+    for i in range(steps):
+        if method == "euler":
+            x = x + h * rhs(lam, x)
+        else:
+            k1 = rhs(lam, x)
+            k2 = rhs(lam + 0.5 * h, x + 0.5 * h * k1)
+            k3 = rhs(lam + 0.5 * h, x + 0.5 * h * k2)
+            k4 = rhs(lam + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam = lambda0 + (i + 1) * h
+    return x
+
+
 def integrate_flow_numeric(
     source,
     x0: Array,
@@ -97,30 +129,13 @@ def integrate_flow_numeric(
         steps: Number of equal steps, >= 1.
         method: "euler" (coefficients at the left endpoint) or "rk4".
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
-
     a_fn, b_fn = _drift_functions(source)
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    h = (lambda1 - lambda0) / steps
 
     def rhs(lam: float, state: Array) -> Array:
         return a_fn(lam) @ state + b_fn(lam)
 
-    lam = lambda0
-    for i in range(steps):
-        if method == "euler":
-            x = x + h * rhs(lam, x)
-        else:
-            k1 = rhs(lam, x)
-            k2 = rhs(lam + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(lam + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(lam + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam = lambda0 + (i + 1) * h
-    return x
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    return _integrate_fixed_step(rhs, x0, lambda0, lambda1, steps, method)
 
 
 def integrate_flow_batch(
@@ -137,10 +152,6 @@ def integrate_flow_batch(
     drift structure keeps each right-hand-side evaluation at O(n) per
     instance, which makes sweeps over thousands of instances practical.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     if any(c.degenerate for c in coeffs_list):
         raise ValueError("batch integration expects non-degenerate coefficients")
 
@@ -150,7 +161,6 @@ def integrate_flow_batch(
     xbar = np.stack([c.xbar for c in coeffs_list])
     p = np.array([c.p for c in coeffs_list])
     r = np.array([c.r for c in coeffs_list])
-    X = np.asarray(x0_rows, dtype=float).copy()
 
     def rhs(lam: float, states: Array) -> Array:
         a = -0.5 / (lam * p + r)
@@ -162,19 +172,8 @@ def integrate_flow_batch(
         b = inner + 2.0 * lam * apply_drift(inner)
         return apply_drift(states) + b
 
-    h = (lambda1 - lambda0) / steps
-    lam = lambda0
-    for i in range(steps):
-        if method == "euler":
-            X = X + h * rhs(lam, X)
-        else:
-            k1 = rhs(lam, X)
-            k2 = rhs(lam + 0.5 * h, X + 0.5 * h * k1)
-            k3 = rhs(lam + 0.5 * h, X + 0.5 * h * k2)
-            k4 = rhs(lam + h, X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam = lambda0 + (i + 1) * h
-    return X
+    X0 = np.asarray(x0_rows, dtype=float)
+    return _integrate_fixed_step(rhs, X0, lambda0, lambda1, steps, method)
 
 
 def _adaptive_simpson(

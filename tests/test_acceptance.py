@@ -18,7 +18,7 @@ import pytest
 from conftest import linear_model
 from pflow.bench import BenchConfig, normalize_vs_ekf, run_benchmark
 from pflow.cli import main as cli_main
-from pflow.filters import FilterConfig, ParticleEnsemble, aedh_update, naedh_update
+from pflow.filters import FilterConfig, aedh_update, naedh_update
 from pflow.flow_core import (
     analytic_flow_map,
     build_coefficients,
@@ -168,14 +168,14 @@ def test_criterion_6_nstep_semigroup_consistency():
     H = rng.standard_normal((1, n))
     model = linear_model(np.eye(n), np.eye(n), H, [[0.7]])
     P = random_spd(rng, n)
-    ens = ParticleEnsemble(particles=rng.standard_normal((200, n)))
+    ens = rng.standard_normal((200, n))
     z = np.array([1.3])
     single = aedh_update(ens, P, model, z, FilterConfig(variant="A-EDH", particle_count=200))
     worst = 0.0
     for steps in (2, 10, 100):
         cfg = FilterConfig(variant="NA-EDH", particle_count=200, lambda_steps=steps)
         multi = naedh_update(ens, P, model, z, cfg)
-        worst = max(worst, float(np.max(np.abs(multi.particles - single.particles))))
+        worst = max(worst, float(np.max(np.abs(multi - single))))
     _report(
         6, "N-step semigroup consistency", worst <= 1e-10,
         f"max per-particle gap {worst:.3e} (tol 1e-10) across N in {{2, 10, 100}}",

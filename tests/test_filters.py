@@ -8,13 +8,11 @@ from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
 from pflow.filters import (
     FilterConfig,
     FilterDivergenceError,
-    ParticleEnsemble,
     aedh_update,
     edh_update,
     lambda_grid,
     ledh_update,
     naedh_update,
-    point_estimate,
     predict_particles,
     run_filter,
 )
@@ -40,21 +38,15 @@ def zero_measurement_model(n=2):
 
 
 def ensemble(*rows):
-    return ParticleEnsemble(particles=np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
 class TestLambdaGrid:
     def test_uniform(self):
         np.testing.assert_allclose(lambda_grid(4), [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_exponential_steps_increase(self):
-        grid = lambda_grid(10, "exponential")
-        steps = np.diff(grid)
-        assert grid[0] == 0.0 and grid[-1] == 1.0
-        assert np.all(steps[1:] > steps[:-1])
-
     def test_single_step(self):
-        np.testing.assert_allclose(lambda_grid(1, "exponential"), [0.0, 1.0])
+        np.testing.assert_allclose(lambda_grid(1), [0.0, 1.0])
 
 
 class TestConfigValidation:
@@ -68,21 +60,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FilterConfig(lambda_steps=0)
 
-    def test_bad_schedule(self):
-        with pytest.raises(ValueError):
-            FilterConfig(lambda_schedule="linear")
-
-
-class TestPointEstimate:
-    def test_single_particle(self):
-        np.testing.assert_allclose(point_estimate(ensemble([3.0, -1.0])), [3.0, -1.0])
-
-    def test_symmetric_pair(self):
-        np.testing.assert_allclose(point_estimate(ensemble([-1.0], [1.0])), [0.0])
-
-    def test_three_values(self):
-        np.testing.assert_allclose(point_estimate(ensemble([1.0], [2.0], [3.0])), [2.0])
-
 
 class TestPredictParticles:
     def test_noise_free_follows_transition(self):
@@ -90,7 +67,7 @@ class TestPredictParticles:
         out = predict_particles(
             ensemble([4.0], [2.0]), m, 1, np.random.default_rng(0), np.zeros((1, 1))
         )
-        np.testing.assert_allclose(out.particles, [[2.0], [1.0]])
+        np.testing.assert_allclose(out, [[2.0], [1.0]])
 
     def test_fixed_seed_reproducible(self):
         m = ungm_model()
@@ -98,28 +75,26 @@ class TestPredictParticles:
         chol_q = np.linalg.cholesky(m.Q)
         a = predict_particles(ens, m, 1, np.random.default_rng(5), chol_q)
         b = predict_particles(ens, m, 1, np.random.default_rng(5), chol_q)
-        assert np.array_equal(a.particles, b.particles)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_equals_per_row_reference(self, coupled):
         m = random_coupled_model(100, np.random.default_rng(4)) if coupled else ungm_model()
-        ens = ParticleEnsemble(
-            particles=10.0 * np.random.default_rng(8).standard_normal((100, m.n_x))
-        )
+        ens = 10.0 * np.random.default_rng(8).standard_normal((100, m.n_x))
         chol_q = np.linalg.cholesky(m.Q)
         out = predict_particles(ens, m, 3, np.random.default_rng(5), chol_q)
 
         rng = np.random.default_rng(5)
-        propagated = np.array([m.transition(x, 3) for x in ens.particles])
+        propagated = np.array([m.transition(x, 3) for x in ens])
         reference = propagated + rng.standard_normal(propagated.shape) @ chol_q.T
-        assert np.array_equal(out.particles, reference)
+        assert np.array_equal(out, reference)
 
     def test_ungm_step_adds_recorded_draw(self):
         m = ungm_model()
         rng = np.random.default_rng(5)
         draw = np.sqrt(10.0) * np.random.default_rng(5).standard_normal((1, 1))
         out = predict_particles(ensemble([0.0]), m, 1, rng, np.linalg.cholesky(m.Q))
-        np.testing.assert_allclose(out.particles, 2.898862035813389 + draw, rtol=1e-12)
+        np.testing.assert_allclose(out, 2.898862035813389 + draw, rtol=1e-12)
 
 
 class TestEdhUpdate:
@@ -128,14 +103,14 @@ class TestEdhUpdate:
         ens = ensemble([1.0, 2.0], [-1.0, 0.5])
         cfg = FilterConfig(variant="EDH", particle_count=2, lambda_steps=5)
         out = edh_update(ens, np.eye(2), m, np.array([3.0]), cfg)
-        np.testing.assert_allclose(out.particles, ens.particles)
+        np.testing.assert_allclose(out, ens)
 
     def test_many_steps_reach_kalman_mean(self):
         # Scalar instance P=1, H=1, R=1, z=2: posterior mean 1.
         m = scalar_unit_model()
         cfg = FilterConfig(variant="EDH", particle_count=1, lambda_steps=10_000)
         out = edh_update(ensemble([0.0]), np.eye(1), m, np.array([2.0]), cfg)
-        np.testing.assert_allclose(out.particles, [[1.0]], atol=1e-3)
+        np.testing.assert_allclose(out, [[1.0]], atol=1e-3)
 
     def test_ten_steps_match_hand_rolled_euler(self):
         m = scalar_unit_model()
@@ -148,7 +123,7 @@ class TestEdhUpdate:
             a = -0.5 / (lam + 1.0)
             b = (1.0 + 2.0 * lam * a) * ((1.0 + lam * a) * 2.0 + a * 0.0)
             x = x + (a * x + b) * 0.1
-        np.testing.assert_allclose(out.particles, [[x]], rtol=1e-12)
+        np.testing.assert_allclose(out, [[x]], rtol=1e-12)
         assert abs(x - 1.0) < 5e-2
 
     def test_accepts_vector_measurements(self):
@@ -156,7 +131,7 @@ class TestEdhUpdate:
         cfg = FilterConfig(variant="EDH", particle_count=1, lambda_steps=2000)
         out = edh_update(ensemble([0.0, 0.0]), np.eye(2), m, np.array([2.0, -1.0]), cfg)
         posterior = kalman_posterior(np.eye(2), np.eye(2), np.eye(2), [2.0, -1.0], np.zeros(2))
-        np.testing.assert_allclose(out.particles[0], posterior.mean, atol=2e-3)
+        np.testing.assert_allclose(out[0], posterior.mean, atol=2e-3)
 
 
 class TestLedhUpdate:
@@ -166,7 +141,7 @@ class TestLedhUpdate:
         cfg = FilterConfig(variant="LEDH", particle_count=3, lambda_steps=10)
         localized = ledh_update(ens, np.eye(1), m, np.array([2.0]), cfg)
         global_ = edh_update(ens, np.eye(1), m, np.array([2.0]), cfg)
-        np.testing.assert_allclose(localized.particles, global_.particles, rtol=1e-12)
+        np.testing.assert_allclose(localized, global_, rtol=1e-12)
 
     def test_single_particle_equals_edh(self):
         m = ungm_model()
@@ -174,23 +149,45 @@ class TestLedhUpdate:
         cfg = FilterConfig(variant="LEDH", particle_count=1, lambda_steps=10)
         localized = ledh_update(ens, np.array([[2.0]]), m, np.array([0.4]), cfg)
         global_ = edh_update(ens, np.array([[2.0]]), m, np.array([0.4]), cfg)
-        np.testing.assert_allclose(localized.particles, global_.particles, rtol=1e-12)
+        np.testing.assert_allclose(localized, global_, rtol=1e-12)
 
     def test_curved_measurement_moves_particles_differently(self):
         m = ungm_model()
         rng = np.random.default_rng(8)
-        ens = ParticleEnsemble(particles=rng.standard_normal((50, 1)) + 2.0)
+        ens = rng.standard_normal((50, 1)) + 2.0
         cfg = FilterConfig(variant="LEDH", particle_count=50, lambda_steps=10)
         localized = ledh_update(ens, np.array([[1.0]]), m, np.array([0.5]), cfg)
         global_ = edh_update(ens, np.array([[1.0]]), m, np.array([0.5]), cfg)
-        assert np.max(np.abs(localized.particles - global_.particles)) > 1e-3
+        assert np.max(np.abs(localized - global_)) > 1e-3
 
     def test_zero_jacobian_is_inert(self):
         m = zero_measurement_model()
         ens = ensemble([1.0, 2.0], [-1.0, 0.5])
         cfg = FilterConfig(variant="LEDH", particle_count=2, lambda_steps=3)
         out = ledh_update(ens, np.eye(2), m, np.array([3.0]), cfg)
-        np.testing.assert_allclose(out.particles, ens.particles)
+        np.testing.assert_allclose(out, ens)
+
+    def test_one_stacked_measurement_call_per_pseudo_time_step(self):
+        base = ungm_model()
+        shapes = []
+
+        def measurement(x):
+            shapes.append(x.shape)
+            return base.measurement(x)
+
+        m = SystemModel(
+            n_x=1, n_z=1,
+            transition=base.transition,
+            measurement=measurement,
+            transition_jacobian=base.transition_jacobian,
+            measurement_jacobian=base.measurement_jacobian,
+            Q=base.Q, R=base.R,
+        )
+        ens = np.random.default_rng(9).standard_normal((7, 1)) + 1.0
+        cfg = FilterConfig(variant="LEDH", particle_count=7, lambda_steps=4)
+        out = ledh_update(ens, np.array([[2.0]]), m, np.array([0.3]), cfg)
+        assert shapes == [(7, 1)] * 4
+        assert np.array_equal(out, ledh_update(ens, np.array([[2.0]]), base, np.array([0.3]), cfg))
 
     def test_general_measurement_path_matches_scalar_path(self):
         # The rank-one fast path and the generic drift computation agree.
@@ -198,7 +195,7 @@ class TestLedhUpdate:
         two_z = SystemModel(
             n_x=1, n_z=2,
             transition=base.transition,
-            measurement=lambda x: np.array([x[0] ** 2 / 20.0, x[0] ** 2 / 20.0]),
+            measurement=lambda x: np.repeat(x ** 2 / 20.0, 2, axis=-1),
             transition_jacobian=base.transition_jacobian,
             measurement_jacobian=lambda x: np.array([[x[0] / 10.0], [x[0] / 10.0]]),
             Q=base.Q, R=np.eye(2),
@@ -206,7 +203,7 @@ class TestLedhUpdate:
         ens = ensemble([1.5], [0.5])
         cfg = FilterConfig(variant="LEDH", particle_count=2, lambda_steps=4)
         out = ledh_update(ens, np.array([[1.0]]), two_z, np.array([0.2, 0.2]), cfg)
-        assert np.all(np.isfinite(out.particles))
+        assert np.all(np.isfinite(out))
 
 
 class TestAedhUpdate:
@@ -214,7 +211,7 @@ class TestAedhUpdate:
         m = scalar_unit_model()
         cfg = FilterConfig(variant="A-EDH", particle_count=1)
         out = aedh_update(ensemble([0.0]), np.eye(1), m, np.array([2.0]), cfg)
-        np.testing.assert_allclose(out.particles, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(out, [[1.0]], atol=1e-12)
 
     def test_offset_particle_follows_flow(self):
         # Two particles symmetric about the mean 0 keep the map anchored
@@ -222,7 +219,7 @@ class TestAedhUpdate:
         m = scalar_unit_model()
         cfg = FilterConfig(variant="A-EDH", particle_count=2)
         out = aedh_update(ensemble([1.0], [-1.0]), np.eye(1), m, np.array([2.0]), cfg)
-        np.testing.assert_allclose(out.particles[0], [1.7071067811865475], rtol=1e-12)
+        np.testing.assert_allclose(out[0], [1.7071067811865475], rtol=1e-12)
 
     def test_update_is_affine(self):
         m = ungm_model()
@@ -230,10 +227,10 @@ class TestAedhUpdate:
         alpha = 0.3
         x, y = np.array([0.8]), np.array([-0.4])
         mix = alpha * x + (1 - alpha) * y
-        ens = ParticleEnsemble(particles=np.stack([x, y, mix]))
+        ens = np.stack([x, y, mix])
         out = aedh_update(ens, np.array([[2.0]]), m, np.array([0.7]), cfg)
         np.testing.assert_allclose(
-            out.particles[2], alpha * out.particles[0] + (1 - alpha) * out.particles[1],
+            out[2], alpha * out[0] + (1 - alpha) * out[1],
             rtol=1e-12,
         )
 
@@ -242,19 +239,19 @@ class TestAedhUpdate:
 
         m = ungm_model()
         rng = np.random.default_rng(3)
-        ens = ParticleEnsemble(particles=rng.standard_normal((20, 1)) + 1.0)
+        ens = rng.standard_normal((20, 1)) + 1.0
         cfg = FilterConfig(variant="A-EDH", particle_count=20)
         P = np.array([[2.0]])
         z = np.array([0.6])
         out = aedh_update(ens, P, m, z, cfg)
 
-        xbar = ens.particles.mean(axis=0)
+        xbar = ens.mean(axis=0)
         H = m.measurement_jacobian(xbar)
         z_lin = z - m.measurement(xbar) + H @ xbar
         coeffs = build_coefficients(P, H, 0.1, float(z_lin[0]), xbar)
         phi, d = analytic_flow_map(coeffs, 1.0, 0.0)
         np.testing.assert_allclose(
-            out.particles.mean(axis=0), phi @ xbar + d, rtol=1e-10
+            out.mean(axis=0), phi @ xbar + d, rtol=1e-10
         )
 
     def test_rejects_vector_measurement(self):
@@ -268,7 +265,7 @@ class TestAedhUpdate:
         ens = ensemble([1.0, 2.0], [-1.0, 0.5])
         cfg = FilterConfig(variant="A-EDH", particle_count=2)
         out = aedh_update(ens, np.eye(2), m, np.array([3.0]), cfg)
-        np.testing.assert_allclose(out.particles, ens.particles)
+        np.testing.assert_allclose(out, ens)
 
 
 class TestEulerConvergesToAnalytic:
@@ -276,7 +273,7 @@ class TestEulerConvergesToAnalytic:
         # Frozen linearization (linear h): Euler converges to the exact map.
         m = scalar_unit_model(measurement_scale=1.2)
         rng = np.random.default_rng(33)
-        ens = ParticleEnsemble(particles=rng.standard_normal((25, 1)))
+        ens = rng.standard_normal((25, 1))
         exact = aedh_update(
             ens, np.eye(1), m, np.array([0.9]),
             FilterConfig(variant="A-EDH", particle_count=25),
@@ -285,7 +282,7 @@ class TestEulerConvergesToAnalytic:
         for steps in (10, 100, 1000):
             cfg = FilterConfig(variant="EDH", particle_count=25, lambda_steps=steps)
             euler = edh_update(ens, np.eye(1), m, np.array([0.9]), cfg)
-            errors.append(np.max(np.abs(euler.particles - exact.particles)))
+            errors.append(np.max(np.abs(euler - exact)))
         assert errors[0] > errors[1] > errors[2]
 
 
@@ -294,7 +291,7 @@ class TestNaedhUpdate:
     def test_linear_measurement_equals_single_step(self, steps):
         m = scalar_unit_model(measurement_scale=1.3)
         rng = np.random.default_rng(12)
-        ens = ParticleEnsemble(particles=rng.standard_normal((40, 1)))
+        ens = rng.standard_normal((40, 1))
         multi = naedh_update(
             ens, np.eye(1), m, np.array([1.1]),
             FilterConfig(variant="NA-EDH", particle_count=40, lambda_steps=steps),
@@ -303,12 +300,12 @@ class TestNaedhUpdate:
             ens, np.eye(1), m, np.array([1.1]),
             FilterConfig(variant="A-EDH", particle_count=40),
         )
-        np.testing.assert_allclose(multi.particles, single.particles, atol=1e-10)
+        np.testing.assert_allclose(multi, single, atol=1e-10)
 
     def test_one_step_equals_aedh(self):
         m = ungm_model()
         rng = np.random.default_rng(13)
-        ens = ParticleEnsemble(particles=rng.standard_normal((10, 1)) + 1.5)
+        ens = rng.standard_normal((10, 1)) + 1.5
         multi = naedh_update(
             ens, np.array([[2.0]]), m, np.array([0.3]),
             FilterConfig(variant="NA-EDH", particle_count=10, lambda_steps=1),
@@ -317,13 +314,13 @@ class TestNaedhUpdate:
             ens, np.array([[2.0]]), m, np.array([0.3]),
             FilterConfig(variant="A-EDH", particle_count=10),
         )
-        np.testing.assert_allclose(multi.particles, single.particles, rtol=1e-14)
+        np.testing.assert_allclose(multi, single, rtol=1e-14)
 
     def test_tracks_euler_as_steps_grow(self):
         # Relinearized exact sub-maps and Euler converge toward each other.
         m = ungm_model()
         rng = np.random.default_rng(14)
-        ens = ParticleEnsemble(particles=rng.standard_normal((30, 1)) + 2.0)
+        ens = rng.standard_normal((30, 1)) + 2.0
         P = np.array([[1.5]])
         z = np.array([0.4])
         gaps = []
@@ -331,12 +328,12 @@ class TestNaedhUpdate:
             cfg = FilterConfig(variant="NA-EDH", particle_count=30, lambda_steps=steps)
             multi = naedh_update(ens, P, m, z, cfg)
             euler = edh_update(ens, P, m, z, cfg)
-            gaps.append(np.max(np.abs(multi.particles - euler.particles)))
+            gaps.append(np.max(np.abs(multi - euler)))
         assert gaps[2] < gaps[1] < gaps[0]
 
         single = aedh_update(ens, P, m, z, FilterConfig(variant="A-EDH", particle_count=30))
         ten = naedh_update(ens, P, m, z, FilterConfig(variant="NA-EDH", particle_count=30, lambda_steps=10))
-        assert np.max(np.abs(ten.particles - single.particles)) > 1e-6
+        assert np.max(np.abs(ten - single)) > 1e-6
 
     def test_rejects_vector_measurement(self):
         m = linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
@@ -357,10 +354,10 @@ class TestSampleCovarianceConvergence:
         m = linear_model(np.eye(n), np.eye(n), H, [[0.8]])
         particles = rng.standard_normal((count, n)) @ np.linalg.cholesky(P).T
         out = aedh_update(
-            ParticleEnsemble(particles=particles), P, m, np.array([1.7]),
+            particles, P, m, np.array([1.7]),
             FilterConfig(variant="A-EDH", particle_count=count),
         )
-        sample = np.cov(out.particles.T)
+        sample = np.cov(out.T)
         posterior = kalman_posterior(P, H, [[0.8]], [1.7], np.zeros(n)).covariance
         gap = np.linalg.norm(sample - posterior, "fro") / np.linalg.norm(posterior, "fro")
         assert gap <= 5e-2
@@ -370,7 +367,7 @@ class TestRunFilter:
     def test_ekf_only_estimates_are_ekf_means(self):
         m = ungm_model()
         traj = simulate(m, np.zeros(1), 12, np.random.default_rng(0))
-        cfg = FilterConfig(variant="EKF-only")
+        cfg = FilterConfig(variant="EKF")
         results = run_filter(m, traj, cfg, np.random.default_rng(1))
 
         belief = GaussianBelief(np.zeros(1), np.eye(1))
@@ -389,11 +386,11 @@ class TestRunFilter:
         belief = GaussianBelief(np.zeros(1), np.eye(1))
         for k in range(1, traj.steps + 1):
             predicted = ekf_predict(belief, m, k)
-            ens = ParticleEnsemble(particles=predicted.mean[np.newaxis, :])
+            ens = predicted.mean[np.newaxis, :]
             z = traj.measurements[k - 1]
             updated = aedh_update(ens, predicted.covariance, m, z, cfg)
             belief = ekf_update(predicted, m, z)
-            np.testing.assert_allclose(point_estimate(updated), belief.mean, atol=1e-8)
+            np.testing.assert_allclose(updated.mean(axis=0), belief.mean, atol=1e-8)
 
     @pytest.mark.parametrize("variant", ["EDH", "LEDH", "A-EDH", "NA-EDH"])
     def test_fixed_seed_reproducible(self, variant):
@@ -416,10 +413,35 @@ class TestRunFilter:
             # Replay prediction only: the flow must add nothing.
             rng2 = np.random.default_rng(6)
             particles = rng2.standard_normal((15, 2))
-            ens = ParticleEnsemble(particles=particles)
             for k in range(1, 4):
-                ens = predict_particles(ens, m, k, rng2, np.linalg.cholesky(m.Q))
-                np.testing.assert_allclose(results[k - 1][0], point_estimate(ens), rtol=1e-12)
+                particles = predict_particles(particles, m, k, rng2, np.linalg.cholesky(m.Q))
+                np.testing.assert_allclose(
+                    results[k - 1][0], particles.mean(axis=0), rtol=1e-12
+                )
+
+    @pytest.mark.parametrize("variant", ["A-EDH", "NA-EDH"])
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_noise_rejected_before_first_step(self, variant, r):
+        base = ungm_model()
+        steps_taken = []
+
+        def transition(x, k):
+            steps_taken.append(k)
+            return base.transition(x, k)
+
+        m = SystemModel(
+            n_x=1, n_z=1,
+            transition=transition,
+            measurement=base.measurement,
+            transition_jacobian=base.transition_jacobian,
+            measurement_jacobian=base.measurement_jacobian,
+            Q=base.Q, R=np.array([[r]]),
+        )
+        traj = Trajectory(states=np.ones((3, 1)), measurements=np.ones((3, 1)), steps=3)
+        cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2)
+        with pytest.raises(ValueError, match="noise variance must be positive"):
+            run_filter(m, traj, cfg, np.random.default_rng(0))
+        assert steps_taken == []
 
     def test_divergence_reports_step_index(self):
         exploding = SystemModel(
@@ -437,21 +459,11 @@ class TestRunFilter:
                 run_filter(exploding, traj, cfg, np.random.default_rng(0))
         assert info.value.step >= 1
 
-    def test_ensemble_sample_covariance_source(self):
-        m = ungm_model()
-        traj = simulate(m, np.zeros(1), 6, np.random.default_rng(20))
-        cfg = FilterConfig(
-            variant="A-EDH", particle_count=30, covariance_source="ensemble-sample"
-        )
-        results = run_filter(m, traj, cfg, np.random.default_rng(21))
-        assert len(results) == 6
-        assert all(np.all(np.isfinite(e)) for e, _ in results)
-
     def test_custom_initialization(self):
         m = ungm_model()
         traj = simulate(m, np.zeros(1), 4, np.random.default_rng(30))
         cfg = FilterConfig(
-            variant="EKF-only", init_mean=np.array([2.0]), init_cov=np.array([[4.0]])
+            variant="EKF", init_mean=np.array([2.0]), init_cov=np.array([[4.0]])
         )
         results = run_filter(m, traj, cfg, np.random.default_rng(31))
 

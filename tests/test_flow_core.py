@@ -10,7 +10,6 @@ import pytest
 
 from pflow.flow_core import (
     analytic_flow_map,
-    apply_flow,
     apply_flow_ensemble,
     beta_factor,
     build_coefficients,
@@ -298,18 +297,22 @@ class TestAnalyticFlowMap:
 class TestApplyFlow:
     def test_scalar_from_one(self, scalar_z2):
         # RK4 oracle value for the frozen-coefficient flow started at 1.
-        np.testing.assert_allclose(apply_flow(scalar_z2, [1.0], 1.0, 0.0), [1.7071067811865475], rtol=1e-6)
+        out = apply_flow_ensemble(scalar_z2, np.array([[1.0]]), 1.0, 0.0)
+        np.testing.assert_allclose(out[0], [1.7071067811865475], rtol=1e-6)
 
     def test_scalar_from_prior_mean(self, scalar_z2):
-        np.testing.assert_allclose(apply_flow(scalar_z2, [0.0], 1.0, 0.0), [1.0], atol=1e-12)
+        out = apply_flow_ensemble(scalar_z2, np.array([[0.0]]), 1.0, 0.0)
+        np.testing.assert_allclose(out[0], [1.0], atol=1e-12)
 
     def test_degenerate_flow_is_identity(self):
         c = build_coefficients(np.eye(2), [0.0, 0.0], 1.0, 3.0, np.zeros(2))
-        np.testing.assert_allclose(apply_flow(c, [1.0, -2.0], 1.0, 0.0), [1.0, -2.0])
+        out = apply_flow_ensemble(c, np.array([[1.0, -2.0]]), 1.0, 0.0)
+        np.testing.assert_allclose(out[0], [1.0, -2.0])
 
     def test_matches_rk4_oracle(self, scalar_z2):
         numeric = integrate_flow_numeric(scalar_z2, [1.0], 0.0, 1.0, 10_000, "rk4")
-        np.testing.assert_allclose(apply_flow(scalar_z2, [1.0], 1.0, 0.0), numeric, rtol=1e-6)
+        out = apply_flow_ensemble(scalar_z2, np.array([[1.0]]), 1.0, 0.0)
+        np.testing.assert_allclose(out[0], numeric, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ensemble_application_matches_rowwise(self, seed):
@@ -318,10 +321,9 @@ class TestApplyFlow:
         lam0, lam = random_interval(rng)
         particles = rng.standard_normal((6, 5))
         batch = apply_flow_ensemble(c, particles, lam, lam0)
+        phi, d = analytic_flow_map(c, lam, lam0)
         for i in range(6):
-            np.testing.assert_allclose(
-                batch[i], apply_flow(c, particles[i], lam, lam0), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(batch[i], phi @ particles[i] + d, rtol=1e-12, atol=1e-12)
 
 
 class TestCommutativity:
