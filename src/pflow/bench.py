@@ -189,8 +189,10 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
     execution. The initial belief mean is drawn from the unit-covariance
     initial belief so the measurement linearization has a nonzero
     anchor; with a quadratic measurement an exactly-zero mean would pin
-    the EKF to the origin forever. Filter failures are flagged in their
-    record instead of aborting the sweep. Fully deterministic (runtime
+    the EKF to the origin forever. A run that diverges (a
+    FilterDivergenceError, a LinAlgError or a nonfinite RMSE) is flagged
+    in its record instead of aborting the sweep; any other exception is
+    a programming error and propagates. Fully deterministic (runtime
     columns aside) for a fixed master seed.
     """
     dims = config.dims if config.model == "coupled" else (1,)
@@ -234,7 +236,7 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
                         # the flagged record carries the signal, not the warnings.
                         with np.errstate(all="ignore"):
                             results = run_filter(model, trajectory, filter_config, filter_rng)
-                    except (FilterDivergenceError, ValueError, np.linalg.LinAlgError) as exc:
+                    except (FilterDivergenceError, np.linalg.LinAlgError) as exc:
                         record.failed = True
                         record.error = str(exc)
                         records.append(record)
@@ -317,23 +319,15 @@ def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
     return ReportTable(rows=rows)
 
 
-def _as_table(data: "ReportTable | Sequence[RunRecord]") -> ReportTable:
-    if isinstance(data, ReportTable):
-        return data
-    return normalize_vs_ekf(data)
-
-
 def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def emit_csv(data: "ReportTable | Sequence[RunRecord]", path: str) -> None:
+def emit_csv(table: ReportTable, path: str) -> None:
     """Write the normalized table as CSV (LF endings, '.' decimals).
 
-    Run records are aggregated first; an empty record list yields a
-    header-only file.
+    A table without rows yields a header-only file.
     """
-    table = _as_table(data)
     lines = [CSV_HEADER]
     for row in table.rows:
         lines.append(
@@ -357,13 +351,12 @@ def emit_csv(data: "ReportTable | Sequence[RunRecord]", path: str) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def emit_markdown(data: "ReportTable | Sequence[RunRecord]", path: str) -> None:
+def emit_markdown(table: ReportTable, path: str) -> None:
     """Render the table as a markdown grid, one block per (model, dim).
 
     Rows are RMSE and TIME (ms) per particle count, columns the filters,
     mirroring the usual presentation of such comparisons.
     """
-    table = _as_table(data)
     sections: dict[tuple[str, int], list[ReportRow]] = {}
     for row in table.rows:
         sections.setdefault((row.model, row.dim), []).append(row)
@@ -390,12 +383,11 @@ def emit_markdown(data: "ReportTable | Sequence[RunRecord]", path: str) -> None:
     _write_text(path, "\n\n".join(chunks) + "\n")
 
 
-def emit_scatter_svg(data: "ReportTable | Sequence[RunRecord]", path: str) -> None:
+def emit_scatter_svg(table: ReportTable, path: str) -> None:
     """Scatter plot of relative runtime (x, log scale) vs relative RMSE (y).
 
     Marker area scales with the particle count; one color per filter.
     """
-    table = _as_table(data)
     rows = [r for r in table.rows if r.runtime_rel_ekf > 0 and np.isfinite(r.rmse_rel_ekf)]
     width, height, margin = 640, 480, 60
     palette = {

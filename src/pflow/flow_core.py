@@ -182,14 +182,6 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
     return inner + 2.0 * lam * (A @ inner)
 
 
-def beta_factor(coeffs: FlowCoefficients, lam: float, lam0: float) -> float:
-    """Scalar exponent of the rank-one transition factor: -log(k(lam)/k(lam0)) / (2p)."""
-    _check_interval(lam, lam0)
-    if coeffs.degenerate or lam == lam0:
-        return 0.0
-    return -0.5 / coeffs.p * np.log(k_eval(coeffs, lam) / k_eval(coeffs, lam0))
-
-
 def _sqrt_k_ratio(coeffs: FlowCoefficients, lam: float, lam0: float) -> float:
     """sqrt(k(lambda0)/k(lambda)), in (0, 1] on forward flows."""
     return float(np.sqrt(k_eval(coeffs, lam0) / k_eval(coeffs, lam)))

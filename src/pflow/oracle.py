@@ -12,7 +12,6 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,17 +22,11 @@ from .flow_core import FlowCoefficients, build_coefficients, drift_matrix_A, k_e
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature oracle."""
-
-    absolute_tolerance: float = 1e-10
-    relative_tolerance: float = 1e-9
-    max_depth: int = 50
-
-    def __post_init__(self) -> None:
-        if self.absolute_tolerance <= 0 or self.relative_tolerance <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+# Adaptive quadrature stops a panel when its error estimate is below the
+# larger of these tolerances, and gives up past this subdivision depth.
+QUADRATURE_ABSOLUTE_TOLERANCE = 1e-10
+QUADRATURE_RELATIVE_TOLERANCE = 1e-9
+QUADRATURE_MAX_DEPTH = 50
 
 
 def matrix_exponential(M: Array) -> Array:
@@ -57,101 +50,27 @@ def matrix_exponential(M: Array) -> Array:
     return result
 
 
-def _drift_functions(
-    source: "FlowCoefficients | tuple[Callable[[float], Array], Callable[[float], Array]]",
-) -> tuple[Callable[[float], Array], Callable[[float], Array]]:
-    """Drift closures A(lam), b(lam) from a coefficient bundle or a pair of callables."""
-    if isinstance(source, FlowCoefficients):
-        coeffs = source
-        n = coeffs.P.shape[0]
-        if coeffs.degenerate:
-            return (lambda lam: np.zeros((n, n))), (lambda lam: np.zeros(n))
-
-        def a_fn(lam: float) -> Array:
-            return (-0.5 / k_eval(coeffs, lam)) * coeffs.M
-
-        def b_fn(lam: float) -> Array:
-            A = a_fn(lam)
-            inner = coeffs.w + lam * (A @ coeffs.w) + A @ coeffs.xbar
-            return inner + 2.0 * lam * (A @ inner)
-
-        return a_fn, b_fn
-    a_fn, b_fn = source
-    return a_fn, b_fn
-
-
-def _integrate_fixed_step(
-    rhs: Callable[[float, Array], Array],
-    x: Array,
-    lambda0: float,
-    lambda1: float,
+def integrate_flow_batch(
+    coeffs_list: Sequence[FlowCoefficients],
+    x0_rows: Array,
+    lambda0: float | Array,
+    lambda1: float | Array,
     steps: int,
-    method: str,
+    method: str = "rk4",
 ) -> Array:
-    """Integrate dx/dlambda = rhs(lambda, x) over `steps` equal steps.
+    """Fixed-step integration of dx/dlambda = A(lambda) x + b(lambda) for many instances.
 
-    method is "euler" (right-hand side at the left endpoint) or "rk4"
-    (classical fourth order). x may be one state or a row stack.
+    Row i of x0_rows is integrated under coeffs_list[i] from lambda0 to
+    lambda1, each a scalar shared by all rows or a length-N array with
+    one interval per row. method is "euler" (drift at the left endpoint)
+    or "rk4" (classical fourth order). The rank-one drift structure keeps
+    each right-hand-side evaluation at O(n) per instance, which makes
+    sweeps over thousands of instances practical.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    h = (lambda1 - lambda0) / steps
-    lam = lambda0
-    for i in range(steps):
-        if method == "euler":
-            x = x + h * rhs(lam, x)
-        else:
-            k1 = rhs(lam, x)
-            k2 = rhs(lam + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(lam + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(lam + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam = lambda0 + (i + 1) * h
-    return x
-
-
-def integrate_flow_numeric(
-    source,
-    x0: Array,
-    lambda0: float,
-    lambda1: float,
-    steps: int,
-    method: str = "rk4",
-) -> Array:
-    """Fixed-step integration of dx/dlambda = A(lambda) x + b(lambda).
-
-    Args:
-        source: A FlowCoefficients bundle or a pair (A_fn, b_fn) of
-            callables of lambda.
-        x0: Initial state at lambda0.
-        steps: Number of equal steps, >= 1.
-        method: "euler" (coefficients at the left endpoint) or "rk4".
-    """
-    a_fn, b_fn = _drift_functions(source)
-
-    def rhs(lam: float, state: Array) -> Array:
-        return a_fn(lam) @ state + b_fn(lam)
-
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    return _integrate_fixed_step(rhs, x0, lambda0, lambda1, steps, method)
-
-
-def integrate_flow_batch(
-    coeffs_list: Sequence[FlowCoefficients],
-    x0_rows: Array,
-    lambda0: float,
-    lambda1: float,
-    steps: int,
-    method: str = "rk4",
-) -> Array:
-    """Vectorized fixed-step integration of many same-dimension flow instances.
-
-    Row i of x0_rows is integrated under coeffs_list[i]. The rank-one
-    drift structure keeps each right-hand-side evaluation at O(n) per
-    instance, which makes sweeps over thousands of instances practical.
-    """
     if any(c.degenerate for c in coeffs_list):
         raise ValueError("batch integration expects non-degenerate coefficients")
 
@@ -159,28 +78,45 @@ def integrate_flow_batch(
     H = np.stack([c.H for c in coeffs_list])
     w = np.stack([c.w for c in coeffs_list])
     xbar = np.stack([c.xbar for c in coeffs_list])
-    p = np.array([c.p for c in coeffs_list])
-    r = np.array([c.r for c in coeffs_list])
+    p = np.array([c.p for c in coeffs_list])[:, None]
+    r = np.array([c.r for c in coeffs_list])[:, None]
+    Hw = np.einsum("ij,ij->i", H, w)[:, None]
+    Hxbar = np.einsum("ij,ij->i", H, xbar)[:, None]
 
-    def rhs(lam: float, states: Array) -> Array:
+    def drift(lam: Array) -> tuple[Array, Array]:
+        """Per row, the scale a of A(lam) = a Ph H^T, and the offset b(lam)."""
         a = -0.5 / (lam * p + r)
+        inner = w + lam * (a * Hw * Ph) + a * Hxbar * Ph
+        return a, inner + 2.0 * lam * (a * np.einsum("ij,ij->i", H, inner)[:, None] * Ph)
 
-        def apply_drift(V: Array) -> Array:
-            return (a * np.einsum("ij,ij->i", H, V))[:, None] * Ph
+    def rhs(a: Array, b: Array, X: Array) -> Array:
+        return a * np.einsum("ij,ij->i", H, X)[:, None] * Ph + b
 
-        inner = w + lam * apply_drift(w) + apply_drift(xbar)
-        b = inner + 2.0 * lam * apply_drift(inner)
-        return apply_drift(states) + b
-
-    X0 = np.asarray(x0_rows, dtype=float)
-    return _integrate_fixed_step(rhs, X0, lambda0, lambda1, steps, method)
+    # Columns broadcast a scalar interval over the rows, or pair one interval with each row.
+    lam0 = np.reshape(np.asarray(lambda0, dtype=float), (-1, 1))
+    lam1 = np.reshape(np.asarray(lambda1, dtype=float), (-1, 1))
+    x = np.asarray(x0_rows, dtype=float)
+    h = (lam1 - lam0) / steps
+    lam = lam0
+    for i in range(steps):
+        k1 = rhs(*drift(lam), x)
+        if method == "euler":
+            x = x + h * k1
+        else:
+            # Stages 2 and 3 share lam + h/2, and the drift does not depend on the state.
+            a_mid, b_mid = drift(lam + 0.5 * h)
+            k2 = rhs(a_mid, b_mid, x + 0.5 * h * k1)
+            k3 = rhs(a_mid, b_mid, x + 0.5 * h * k2)
+            k4 = rhs(*drift(lam + h), x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam = lam0 + (i + 1) * h
+    return x
 
 
 def _adaptive_simpson(
     f: Callable[[float], Array],
     a: float,
     b: float,
-    spec: QuadratureSpec,
 ) -> Array:
     """Adaptive Simpson rule for vector-valued integrands."""
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
@@ -194,12 +130,15 @@ def _adaptive_simpson(
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         err = np.max(np.abs(delta)) / 15.0
-        tol = max(spec.absolute_tolerance, spec.relative_tolerance * np.max(np.abs(left + right)))
+        tol = max(
+            QUADRATURE_ABSOLUTE_TOLERANCE,
+            QUADRATURE_RELATIVE_TOLERANCE * np.max(np.abs(left + right)),
+        )
         if err <= tol:
             return left + right + delta / 15.0
-        if depth >= spec.max_depth:
+        if depth >= QUADRATURE_MAX_DEPTH:
             raise RuntimeError(
-                f"quadrature subdivision limit ({spec.max_depth}) exceeded on [{a}, {b}]"
+                f"quadrature subdivision limit ({QUADRATURE_MAX_DEPTH}) exceeded on [{a}, {b}]"
             )
         return (
             recurse(a, m, fa, flm, fm, left, depth + 1)
@@ -231,7 +170,6 @@ def quadrature_inhomogeneous(
     index: int,
     lam: float,
     lam0: float,
-    spec: QuadratureSpec | None = None,
 ) -> Array:
     """Adaptive quadrature of Phi(lam, tau) times the index-th offset term.
 
@@ -244,7 +182,6 @@ def quadrature_inhomogeneous(
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
-    spec = spec or QuadratureSpec()
     n = coeffs.P.shape[0]
     if lam == lam0 or coeffs.degenerate:
         return np.zeros(n)
@@ -256,7 +193,7 @@ def quadrature_inhomogeneous(
         ratio = np.sqrt(k_eval(coeffs, tau) / k_at_lam)
         return v + ((ratio - 1.0) / coeffs.p) * float(coeffs.H @ v) * coeffs.Ph
 
-    return _adaptive_simpson(integrand, lam0, lam, spec)
+    return _adaptive_simpson(integrand, lam0, lam)
 
 
 def kalman_posterior(P: Array, H: Array, R: Array, z: Array, xbar: Array) -> GaussianBelief:
@@ -382,18 +319,19 @@ def verify_closed_forms(
                 results["psi_vs_quadrature"], relative_deviation(closed, quad)
             )
 
-    # Full maps against batched RK4, grouped by dimension.
+    # Full maps against batched RK4, one call per dimension, each
+    # instance over its own interval.
     by_dim: dict[int, list[tuple[FlowCoefficients, float, float]]] = {}
     for item in instances:
         by_dim.setdefault(item[0].P.shape[0], []).append(item)
     for n, group in by_dim.items():
-        # A shared interval per group keeps the integration batched.
-        lam0, lam = group[0][1], group[0][2]
         coeffs_list = [c for c, _, _ in group]
+        lam0 = np.array([l0 for _, l0, _ in group])
+        lam = np.array([l1 for _, _, l1 in group])
         x0 = np.stack([c.xbar + rng.standard_normal(n) for c in coeffs_list])
         numeric = integrate_flow_batch(coeffs_list, x0, lam0, lam, rk4_steps)
-        for row, c in enumerate(coeffs_list):
-            phi, d = analytic_flow_map(c, lam, lam0)
+        for row, (c, l0, l1) in enumerate(group):
+            phi, d = analytic_flow_map(c, l1, l0)
             results["flow_map_vs_rk4"] = max(
                 results["flow_map_vs_rk4"],
                 relative_deviation(phi @ x0[row] + d, numeric[row]),

@@ -120,14 +120,21 @@ def test_criterion_4_flow_map_vs_rk4():
     start = time.perf_counter()
     worst = 0.0
     for n in (1, 2, 5, 10, 50):
-        for _ in range(10):  # sub-batches sharing an interval, 20 instances each
-            coeffs = [random_flow_instance(rng, n) for _ in range(20)]
-            lam0, lam = random_interval(rng)
-            x0 = np.stack([c.xbar + rng.standard_normal(n) for c in coeffs])
-            numeric = integrate_flow_batch(coeffs, x0, lam0, lam, 10_000, "rk4")
-            for row, c in enumerate(coeffs):
-                phi, d = analytic_flow_map(c, lam, lam0)
-                worst = max(worst, relative_deviation(phi @ x0[row] + d, numeric[row]))
+        # Ten draws of 20 instances that share an interval, integrated in
+        # one call per dimension with one interval per row.
+        coeffs, lam0, lam, x0 = [], [], [], []
+        for _ in range(10):
+            batch = [random_flow_instance(rng, n) for _ in range(20)]
+            interval = random_interval(rng)
+            x0 += [c.xbar + rng.standard_normal(n) for c in batch]
+            coeffs += batch
+            lam0 += [interval[0]] * 20
+            lam += [interval[1]] * 20
+        x0 = np.stack(x0)
+        numeric = integrate_flow_batch(coeffs, x0, np.array(lam0), np.array(lam), 10_000, "rk4")
+        for row, c in enumerate(coeffs):
+            phi, d = analytic_flow_map(c, lam[row], lam0[row])
+            worst = max(worst, relative_deviation(phi @ x0[row] + d, numeric[row]))
     elapsed = time.perf_counter() - start
     _report(
         4, "analytic flow map vs RK4", worst <= 1e-6 and elapsed < 120.0,

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo benchmark harness and report emitters."""
 
+import dataclasses
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
@@ -19,6 +20,7 @@ from pflow.bench import (
     rmse,
     run_benchmark,
 )
+from pflow.model import ungm_model
 
 
 def record(filter_name, particles, rmse_value, runtime, run_index=0, **kw):
@@ -133,7 +135,7 @@ class TestNormalizeVsEkf:
 class TestEmitters:
     def test_csv_header_and_shape(self, tmp_path):
         path = tmp_path / "results.csv"
-        emit_csv(reference_records(), str(path))
+        emit_csv(normalize_vs_ekf(reference_records()), str(path))
         content = path.read_bytes().decode("utf-8")
         lines = content.split("\n")
         assert lines[0] == CSV_HEADER
@@ -143,18 +145,18 @@ class TestEmitters:
 
     def test_empty_records_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv([], str(path))
+        emit_csv(normalize_vs_ekf([]), str(path))
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
     def test_csv_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(reference_records(), str(a))
-        emit_csv(reference_records(), str(b))
+        emit_csv(normalize_vs_ekf(reference_records()), str(a))
+        emit_csv(normalize_vs_ekf(reference_records()), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_markdown_grid(self, tmp_path):
         path = tmp_path / "table.md"
-        emit_markdown(reference_records(), str(path))
+        emit_markdown(normalize_vs_ekf(reference_records()), str(path))
         content = path.read_text(encoding="utf-8")
         assert "| Performance | EKF | EDH | LEDH | A-EDH | NA-EDH |" in content
         assert "| RMSE_100 | 542 | 454 | 396 | 589 | 483 |" in content
@@ -162,7 +164,7 @@ class TestEmitters:
 
     def test_scatter_svg_marker_count(self, tmp_path):
         path = tmp_path / "plot.svg"
-        emit_scatter_svg(reference_records(), str(path))
+        emit_scatter_svg(normalize_vs_ekf(reference_records()), str(path))
         root = ElementTree.parse(path).getroot()
         circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
         # 20 data markers plus 5 legend swatches.
@@ -170,14 +172,14 @@ class TestEmitters:
 
     def test_scatter_single_point(self, tmp_path):
         path = tmp_path / "one.svg"
-        emit_scatter_svg([record("EKF", 10, 1.0, 2.0)], str(path))
+        emit_scatter_svg(normalize_vs_ekf([record("EKF", 10, 1.0, 2.0)]), str(path))
         root = ElementTree.parse(path).getroot()
         circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
         assert len(circles) == 2  # one marker, one legend swatch
 
     def test_unwritable_path_raises(self):
         with pytest.raises(OSError, match="cannot write"):
-            emit_csv([], "/nonexistent-dir/results.csv")
+            emit_csv(normalize_vs_ekf([]), "/nonexistent-dir/results.csv")
 
 
 class TestBenchConfig:
@@ -307,3 +309,22 @@ class TestRunBenchmark:
             if r.filter == "EKF"
         ]
         assert alone == paired
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # A measurement that returns two values for one state of an n_z = 1
+        # model is a bug in the model, not a divergent run: the sweep must
+        # raise instead of booking a failed run.
+        def broken_ungm():
+            model = ungm_model()
+            h = model.measurement
+            return dataclasses.replace(
+                model, measurement=lambda x: h(x) if x.ndim == 2 else np.repeat(h(x), 2)
+            )
+
+        monkeypatch.setattr("pflow.bench.ungm_model", broken_ungm)
+        config = BenchConfig(
+            model="ungm", particle_counts=(5,), mc_runs=1, trajectory_steps=3,
+            filters=("EKF",), master_seed=3,
+        )
+        with pytest.raises(ValueError):
+            run_benchmark(config)

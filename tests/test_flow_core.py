@@ -11,7 +11,6 @@ import pytest
 from pflow.flow_core import (
     analytic_flow_map,
     apply_flow_ensemble,
-    beta_factor,
     build_coefficients,
     drift_matrix_A,
     drift_vector_b,
@@ -22,7 +21,7 @@ from pflow.flow_core import (
 )
 from pflow.oracle import (
     commutator_norm,
-    integrate_flow_numeric,
+    integrate_flow_batch,
     kalman_posterior,
     matrix_exponential,
     quadrature_inhomogeneous,
@@ -140,22 +139,6 @@ class TestDriftVector:
             )
             b = drift_vector_b(c.P, c.H, [[c.r]], [c.z], c.xbar, lam)
             np.testing.assert_allclose(b, expanded, rtol=1e-10)
-
-
-class TestBetaFactor:
-    def test_empty_interval(self, scalar_z2):
-        assert beta_factor(scalar_z2, 0.7, 0.7) == 0.0
-
-    def test_full_interval_value(self, scalar_z2):
-        np.testing.assert_allclose(beta_factor(scalar_z2, 1.0, 0.0), -0.5 * np.log(2.0))
-
-    def test_additivity(self, scalar_z2):
-        total = beta_factor(scalar_z2, 0.9, 0.1)
-        np.testing.assert_allclose(
-            total,
-            beta_factor(scalar_z2, 0.9, 0.4) + beta_factor(scalar_z2, 0.4, 0.1),
-            rtol=1e-12,
-        )
 
 
 class TestTransitionMatrix:
@@ -284,6 +267,27 @@ class TestAnalyticFlowMap:
         np.testing.assert_allclose(phi_b @ phi_a, phi_full, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(phi_b @ d_a + d_b, d_full, rtol=1e-10, atol=1e-10)
 
+        # H P H^T / R over 1e-8..1e12, where the individual offset terms
+        # grow like p/r and only the combined form of their sum stays
+        # exact; 5 instances per decade and seed, split at a random lam1.
+        for log_ratio in range(-8, 13):
+            for _ in range(5):
+                base = random_flow_instance(rng, int(rng.integers(1, 7)))
+                c = build_coefficients(
+                    base.P, base.H, base.p / 10.0 ** log_ratio, base.z, base.xbar
+                )
+                lam1 = rng.uniform(0.0, 1.0)
+                phi_full, d_full = analytic_flow_map(c, 1.0, 0.0)
+                phi_a, d_a = analytic_flow_map(c, lam1, 0.0)
+                phi_b, d_b = analytic_flow_map(c, 1.0, lam1)
+                msg = f"p/r = 1e{log_ratio}, lam1 = {lam1}"
+                np.testing.assert_allclose(
+                    phi_b @ phi_a, phi_full, rtol=1e-10, atol=1e-10, err_msg=msg
+                )
+                np.testing.assert_allclose(
+                    phi_b @ d_a + d_b, d_full, rtol=1e-10, atol=1e-10, err_msg=msg
+                )
+
     @pytest.mark.parametrize("seed", range(15))
     def test_kalman_exactness(self, seed):
         rng = np.random.default_rng(3000 + seed)
@@ -310,9 +314,9 @@ class TestApplyFlow:
         np.testing.assert_allclose(out[0], [1.0, -2.0])
 
     def test_matches_rk4_oracle(self, scalar_z2):
-        numeric = integrate_flow_numeric(scalar_z2, [1.0], 0.0, 1.0, 10_000, "rk4")
+        numeric = integrate_flow_batch([scalar_z2], np.array([[1.0]]), 0.0, 1.0, 10_000, "rk4")
         out = apply_flow_ensemble(scalar_z2, np.array([[1.0]]), 1.0, 0.0)
-        np.testing.assert_allclose(out[0], numeric, rtol=1e-6)
+        np.testing.assert_allclose(out[0], numeric[0], rtol=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ensemble_application_matches_rowwise(self, seed):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from pflow.ekf import GaussianBelief
-from pflow.flow_core import build_coefficients
+from pflow.flow_core import build_coefficients, drift_matrix_A, drift_vector_b
 from pflow.oracle import (
-    QuadratureSpec,
     commutator_norm,
     integrate_flow_batch,
-    integrate_flow_numeric,
     kalman_posterior,
     matrix_exponential,
     quadrature_inhomogeneous,
@@ -53,47 +51,39 @@ class TestMatrixExponential:
 
 
 class TestIntegrateFlowNumeric:
-    def test_zero_drift_keeps_state(self):
-        a_fn = lambda lam: np.zeros((2, 2))
-        b_fn = lambda lam: np.zeros(2)
-        out = integrate_flow_numeric((a_fn, b_fn), [1.0, -2.0], 0.0, 1.0, 50, "rk4")
-        np.testing.assert_allclose(out, [1.0, -2.0])
-
     def test_single_euler_step_definition(self, scalar_z2):
-        from pflow.oracle import _drift_functions
-
-        a_fn, b_fn = _drift_functions(scalar_z2)
-        expected = np.array([1.0]) + 0.5 * (a_fn(0.2) @ [1.0] + b_fn(0.2))
-        out = integrate_flow_numeric(scalar_z2, [1.0], 0.2, 0.7, 1, "euler")
-        np.testing.assert_allclose(out, expected)
+        c = scalar_z2
+        x = np.array([1.0])
+        drift = drift_matrix_A(c.P, c.H, [[c.r]], 0.2) @ x + drift_vector_b(
+            c.P, c.H, [[c.r]], [c.z], c.xbar, 0.2
+        )
+        out = integrate_flow_batch([c], x[np.newaxis, :], 0.2, 0.7, 1, "euler")
+        np.testing.assert_allclose(out[0], x + 0.5 * drift)
 
     def test_rk4_reproduces_closed_form_value(self, scalar_z2):
-        out = integrate_flow_numeric(scalar_z2, [1.0], 0.0, 1.0, 10_000, "rk4")
-        np.testing.assert_allclose(out, [1.7071067811865475], rtol=1e-9)
-
-    def test_callable_and_coeff_sources_agree(self, scalar_z2):
-        from pflow.oracle import _drift_functions
-
-        fns = _drift_functions(scalar_z2)
-        a = integrate_flow_numeric(scalar_z2, [0.3], 0.0, 1.0, 200, "rk4")
-        b = integrate_flow_numeric(fns, [0.3], 0.0, 1.0, 200, "rk4")
-        np.testing.assert_allclose(a, b, rtol=1e-14)
+        out = integrate_flow_batch([scalar_z2], np.array([[1.0]]), 0.0, 1.0, 10_000, "rk4")
+        np.testing.assert_allclose(out[0], [1.7071067811865475], rtol=1e-9)
 
     def test_rejects_bad_arguments(self, scalar_z2):
+        x0 = np.zeros((1, 1))
         with pytest.raises(ValueError):
-            integrate_flow_numeric(scalar_z2, [0.0], 0.0, 1.0, 0, "rk4")
+            integrate_flow_batch([scalar_z2], x0, 0.0, 1.0, 0, "rk4")
         with pytest.raises(ValueError):
-            integrate_flow_numeric(scalar_z2, [0.0], 0.0, 1.0, 10, "leapfrog")
+            integrate_flow_batch([scalar_z2], x0, 0.0, 1.0, 10, "leapfrog")
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_batch_matches_single(self, method):
+        # Per-row intervals in one call give each row exactly what a call
+        # with that row's interval gives.
         rng = np.random.default_rng(21)
         coeffs = [random_flow_instance(rng, 3) for _ in range(4)]
         x0 = rng.standard_normal((4, 3))
-        batch = integrate_flow_batch(coeffs, x0, 0.0, 1.0, 100, method)
-        for i, c in enumerate(coeffs):
-            single = integrate_flow_numeric(c, x0[i], 0.0, 1.0, 100, method)
-            np.testing.assert_allclose(batch[i], single, rtol=1e-10, atol=1e-12)
+        lam0 = np.array([0.0, 0.1, 0.3, 0.0])
+        lam1 = np.array([1.0, 0.6, 0.9, 0.25])
+        batch = integrate_flow_batch(coeffs, x0, lam0, lam1, 100, method)
+        for i in range(4):
+            single = integrate_flow_batch(coeffs, x0, lam0[i], lam1[i], 100, method)
+            assert np.array_equal(batch[i], single[i])
 
 
 class TestQuadrature:
@@ -112,10 +102,6 @@ class TestQuadrature:
     def test_invalid_index(self, scalar_z2):
         with pytest.raises(ValueError):
             quadrature_inhomogeneous(scalar_z2, 7, 1.0, 0.0)
-
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(absolute_tolerance=0.0)
 
 
 class TestKalmanPosterior:
