@@ -20,9 +20,13 @@ Array = np.ndarray
 class GaussianBelief:
     """Gaussian state estimate: mean (n_x,) and covariance (n_x, n_x).
 
-    Covariances produced by the operations below are symmetrized to guard
-    against round-off; positive definiteness is preserved by construction
-    for valid models.
+    From a symmetric start the operations below keep the covariance
+    exactly symmetric: the prediction symmetrizes G P G^T + Q, and the
+    update subtracts an exactly symmetric W^T W from the prior. Positive
+    definiteness is detected and repaired, not guaranteed: the update
+    passes its result through `_ensure_positive_definite`, which leaves an
+    SPD covariance untouched and lifts a round-off-negative eigenvalue to
+    a small floor.
     """
 
     mean: Array
@@ -39,10 +43,13 @@ _PD_JITTER = 1e-12
 def _ensure_positive_definite(P: Array) -> Array:
     """Restore the covariance invariant when round-off breaks it.
 
-    The textbook update (I - K H) P cancels catastrophically when the
-    innovation dwarfs the measurement noise; on extreme instances the
-    result acquires negative eigenvalues that the dynamics then amplify.
-    Healthy covariances pass through untouched.
+    The update P - W^T W subtracts a nearly equal matrix when the predicted
+    measurement variance H P H^T dwarfs R, or when P is ill conditioned
+    (a diverging run); round-off can then leave eigenvalues a hair below
+    zero, which the dynamics amplify and the next Cholesky rejects. A
+    covariance that factors is returned as the same object. Otherwise the
+    eigenvalues are clipped at 1e-12 times the largest (at least 1e-12) and
+    the result is symmetrized.
     """
     try:
         np.linalg.cholesky(P)
@@ -69,8 +76,14 @@ def ekf_predict(belief: GaussianBelief, model: SystemModel, k: int) -> GaussianB
 def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> GaussianBelief:
     """Measurement update with h linearized at the predicted mean.
 
-    S = H P H^T + R, K = P H^T S^-1, mean += K (z - h(mean)),
-    covariance = (I - K H) P, symmetrized afterwards.
+    With S = H P H^T + R = L L^T (Cholesky), W = L^-1 H P and whitened
+    innovation e = L^-1 (z - h(mean)), the Kalman update is
+    mean += W^T e and covariance = P - W^T W. This is the textbook
+    K = P H^T S^-1, covariance (I - K H) P written through the factor of S
+    (Bierman 1977): O(n_x^2 n_z) work, one formula for every n_z, and an
+    exactly symmetric result when P is. The result still passes through
+    `_ensure_positive_definite`, because the subtraction can round a
+    near-singular posterior to a slightly indefinite one.
 
     Raises:
         np.linalg.LinAlgError: If the innovation covariance is not
@@ -80,16 +93,18 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
     H = np.atleast_2d(model.measurement_jacobian(belief.mean))
     P = belief.covariance
 
-    PHt = P @ H.T
-    S = H @ PHt + model.R
+    HP = H @ P
+    S = HP @ H.T + model.R
     try:
-        np.linalg.cholesky(S)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "innovation covariance is not positive definite; check that R is SPD"
         ) from exc
 
-    K = np.linalg.solve(S.T, PHt.T).T
-    mean = belief.mean + K @ (z - model.measurement(belief.mean))
-    covariance = _ensure_positive_definite(_symmetrize((np.eye(model.n_x) - K @ H) @ P))
+    innovation = z - model.measurement(belief.mean)
+    whitened = np.linalg.solve(L, np.column_stack((HP, innovation)))
+    W, e = whitened[:, :-1], whitened[:, -1]
+    mean = belief.mean + W.T @ e
+    covariance = _ensure_positive_definite(P - W.T @ W)
     return GaussianBelief(mean=mean, covariance=covariance)

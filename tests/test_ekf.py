@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_model
-from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
+from pflow.ekf import GaussianBelief, _ensure_positive_definite, ekf_predict, ekf_update
 from pflow.model import ungm_model
+from pflow.oracle import kalman_posterior
 
 
 class TestPredict:
@@ -74,3 +77,63 @@ class TestUpdate:
         out = ekf_update(belief, m, np.array([rng.standard_normal()]))
         gaps = np.linalg.eigvalsh(belief.covariance - out.covariance)
         assert gaps.min() >= -1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        n_z=st.integers(1, 3),
+        log_ratio=st.floats(-8.0, 12.0),
+    )
+    def test_linear_update_matches_kalman_posterior(self, seed, n, n_z, log_ratio):
+        # ||H P H^T|| / ||R|| = 10**log_ratio spans the decades where
+        # P - W^T W cancels hardest. Exact symmetry holds because W^T W is
+        # exactly symmetric and P is.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        P = A @ A.T / n + 0.1 * np.eye(n)
+        P = 0.5 * (P + P.T)
+        H = rng.standard_normal((n_z, n))
+        B = rng.standard_normal((n_z, n_z))
+        R = B @ B.T + 0.5 * np.eye(n_z)
+        R *= np.linalg.norm(H @ P @ H.T, 2) / np.linalg.norm(R, 2) / 10.0**log_ratio
+        xbar = rng.standard_normal(n)
+        S = H @ P @ H.T + R
+        z = H @ xbar + np.linalg.cholesky(0.5 * (S + S.T)) @ rng.standard_normal(n_z)
+
+        out = ekf_update(GaussianBelief(xbar, P), linear_model(np.eye(n), np.eye(n), H, R), z)
+        ref = kalman_posterior(P, H, R, z, xbar)
+        scale = np.linalg.norm(P, 2)
+        C = out.covariance
+        np.testing.assert_allclose(C, ref.covariance, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            out.mean, ref.mean, rtol=0, atol=1e-9 * (np.sqrt(scale) + np.abs(xbar).max())
+        )
+        assert np.array_equal(C, C.T)
+        np.linalg.cholesky(C)
+        assert np.linalg.eigvalsh(P - C).min() >= -1e-12 * scale
+
+
+class TestEnsurePositiveDefinite:
+    def test_spd_input_is_returned_unchanged(self):
+        P = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert _ensure_positive_definite(P) is P
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_off_negative_eigenvalue_is_repaired(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 6
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigenvalues = rng.uniform(0.5, 4.0, n)
+        eigenvalues[0] = -1e-13 * eigenvalues.max()
+        P = (Q * eigenvalues) @ Q.T
+        P = 0.5 * (P + P.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(P)
+
+        out = _ensure_positive_definite(P)
+        assert np.array_equal(out, out.T)
+        np.linalg.cholesky(out)
+        # The eigenvalue is lifted from -1e-13 to the floor 1e-12 * ||P||.
+        scale = np.linalg.norm(P, 2)
+        assert np.linalg.norm(out - P, 2) <= 1.2e-12 * scale
