@@ -80,9 +80,20 @@ class FilterConfig:
             raise ValueError("lambda_steps must be >= 1")
 
 
+def _lambda_points(n_steps: int) -> list[float]:
+    """The points of lambda_grid as floats: j * (1/N), then 1, as np.linspace gives them."""
+    step = 1.0 / n_steps
+    return [j * step for j in range(n_steps)] + [1.0]
+
+
 def lambda_grid(n_steps: int) -> Array:
     """Uniform pseudo-time grid 0 = lambda_0 < ... < lambda_N = 1."""
-    return np.linspace(0.0, 1.0, n_steps + 1)
+    return np.array(_lambda_points(n_steps))
+
+
+def _ensemble_mean(particles: Array) -> Array:
+    """particles.mean(axis=0), bit for bit, without np.mean's dispatch."""
+    return particles.sum(axis=0) / particles.shape[0]
 
 
 def _linearized_measurement(z: Array, h_lin: Array, H: Array, x_lin: Array) -> Array:
@@ -191,9 +202,22 @@ def ledh_update(
     return X
 
 
-def _require_scalar_measurement(model: SystemModel, name: str) -> None:
+def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array, n_steps: int) -> Array:
+    """Closed-form maps over n_steps uniform sub-intervals, h relinearized at each start."""
     if model.n_z != 1:
-        raise ValueError(f"{name} requires a scalar measurement (n_z = 1), got n_z = {model.n_z}")
+        raise ValueError(f"A-EDH and NA-EDH require a scalar measurement, got n_z = {model.n_z}")
+    z = float(np.ravel(z)[0])
+    r = float(model.R[0, 0])
+    grid = _lambda_points(n_steps)
+    X = particles
+    xbar0 = _ensemble_mean(X)
+    for lam0, lam in zip(grid, grid[1:]):
+        x_lin = _ensemble_mean(X) if lam0 > 0.0 else xbar0
+        H = np.asarray(model.measurement_jacobian(x_lin), dtype=float).reshape(-1)
+        z_lin = _linearized_measurement(z, model.measurement(x_lin)[0], H, x_lin)
+        coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin), xbar0)
+        X = apply_flow_ensemble(coeffs, X, lam, lam0)
+    return X
 
 
 def aedh_update(
@@ -212,14 +236,7 @@ def aedh_update(
     P_pred must be SPD and R positive; run_filter checks its inputs once
     per run and the EKF keeps its predicted covariance SPD.
     """
-    _require_scalar_measurement(model, "aedh_update")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = float(model.R[0, 0])
-    xbar = particles.mean(axis=0)
-    H = np.asarray(model.measurement_jacobian(xbar), dtype=float).reshape(-1)
-    z_lin = _linearized_measurement(z, model.measurement(xbar), H[np.newaxis, :], xbar)
-    coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin[0]), xbar)
-    return apply_flow_ensemble(coeffs, particles, 1.0, 0.0)
+    return _analytic_flow(particles, P_pred, model, z, 1)
 
 
 def naedh_update(
@@ -237,20 +254,7 @@ def naedh_update(
     compose exactly into the single-step map. Same input conditions as
     aedh_update.
     """
-    _require_scalar_measurement(model, "naedh_update")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = float(model.R[0, 0])
-    grid = lambda_grid(config.lambda_steps)
-    X = particles
-    xbar0 = X.mean(axis=0)
-
-    for j in range(1, grid.size):
-        xbar_j = X.mean(axis=0)
-        H = np.asarray(model.measurement_jacobian(xbar_j), dtype=float).reshape(-1)
-        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H[np.newaxis, :], xbar_j)
-        coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin[0]), xbar0)
-        X = apply_flow_ensemble(coeffs, X, grid[j], grid[j - 1])
-    return X
+    return _analytic_flow(particles, P_pred, model, z, config.lambda_steps)
 
 
 _UPDATES = {
@@ -309,6 +313,6 @@ def run_filter(
             if not np.all(np.isfinite(particles)):
                 raise FilterDivergenceError(step=k)
         belief = ekf_update(predicted, model, z)
-        estimate = belief.mean.copy() if particles is None else particles.mean(axis=0)
+        estimate = belief.mean.copy() if particles is None else _ensemble_mean(particles)
         results.append((estimate, belief))
     return results

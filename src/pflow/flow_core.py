@@ -17,6 +17,7 @@ flows and avoids overflow when H P H^T is large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,11 @@ class FlowCoefficients:
         xbar: Mean of the predicted Gaussian (the drift offset uses this
             fixed linearization point), shape (n_x,).
         Ph: P @ H, shape (n_x,).
-        w: P H^T z / r, shape (n_x,).
         p: H P H^T, positive whenever H is nonzero.
         degenerate: True when H is (numerically) zero; the flow is then
             the identity map.
+
+    `w` and `M` are derived on demand; the filters' map reads neither.
     """
 
     P: Array
@@ -52,9 +54,13 @@ class FlowCoefficients:
     z: float
     xbar: Array
     Ph: Array
-    w: Array
     p: float
     degenerate: bool
+
+    @property
+    def w(self) -> Array:
+        """P H^T z / r, shape (n_x,); zero when degenerate. Read by the oracle and the psi terms."""
+        return np.zeros(self.Ph.shape[0]) if self.degenerate else self.Ph * (self.z / self.r)
 
     @property
     def M(self) -> Array:
@@ -68,17 +74,10 @@ class FlowCoefficients:
 
 def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) -> FlowCoefficients:
     """Derive the flow bundle from already-validated inputs."""
-    n = P.shape[0]
-    if np.max(np.abs(H)) < DEGENERATE_H_TOL:
-        return FlowCoefficients(
-            P=P, H=H, r=r, z=z, xbar=xbar,
-            Ph=np.zeros(n), w=np.zeros(n), p=0.0,
-            degenerate=True,
-        )
+    if np.abs(H).max() < DEGENERATE_H_TOL:
+        return FlowCoefficients(P, H, r, z, xbar, np.zeros(P.shape[0]), 0.0, True)
     Ph = P @ H
-    p = float(H @ Ph)
-    w = Ph * (z / r)
-    return FlowCoefficients(P=P, H=H, r=r, z=z, xbar=xbar, Ph=Ph, w=w, p=p, degenerate=False)
+    return FlowCoefficients(P, H, r, z, xbar, Ph, float(H @ Ph), False)
 
 
 def validate_flow_inputs(P: Array, R: float) -> None:
@@ -182,9 +181,28 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
     return inner + 2.0 * lam * (A @ inner)
 
 
-def _sqrt_k_ratio(coeffs: FlowCoefficients, lam: float, lam0: float) -> float:
-    """sqrt(k(lambda0)/k(lambda)), in (0, 1] on forward flows."""
-    return float(np.sqrt(k_eval(coeffs, lam0) / k_eval(coeffs, lam)))
+def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
+    """(s, scale, c) of the map over [lam0, lam] for non-degenerate coefficients.
+
+    s = sqrt(k(lam0)/k(lam)), Phi = I + scale * M with scale = (s - 1)/p, and
+    d = Ph * c with c = z (lam/k(lam) - s lam0/k(lam0)) + (H xbar)(r/p)(1/k(lam) - s/k(lam0)),
+    the sum of the five psi terms without the cancellation those terms
+    suffer when H P H^T >> R (they grow like p/r while their sum stays O(1)).
+    A negative k ratio, or a zero k or p (a P not positive definite along
+    H), gives NaNs as IEEE arithmetic would, so the flow ends nonfinite.
+    """
+    p, r = coeffs.p, coeffs.r
+    h_xbar = float(coeffs.H @ coeffs.xbar)
+    k1 = k_eval(coeffs, lam)
+    k0 = k_eval(coeffs, lam0)
+    try:
+        q = k0 / k1
+        s = math.sqrt(q) if q >= 0.0 else math.nan
+        measurement_part = coeffs.z * (lam / k1 - s * lam0 / k0)
+        prior_part = h_xbar * (r / p) * (1.0 / k1 - s / k0)
+        return s, (s - 1.0) / p, measurement_part + prior_part
+    except ZeroDivisionError:
+        return math.nan, math.nan, math.nan
 
 
 def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
@@ -197,31 +215,8 @@ def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Arra
     n = coeffs.P.shape[0]
     if coeffs.degenerate:
         return np.eye(n)
-    ratio = _sqrt_k_ratio(coeffs, lam, lam0)
-    return np.eye(n) + ((ratio - 1.0) / coeffs.p) * coeffs.M
-
-
-def _psi_terms(coeffs: FlowCoefficients, lam: float, lam0: float) -> list[Array]:
-    """All five integrated offset terms over [lam0, lam]."""
-    n = coeffs.P.shape[0]
-    if coeffs.degenerate or lam == lam0:
-        return [np.zeros(n) for _ in range(5)]
-
-    p, r, w = coeffs.p, coeffs.r, coeffs.w
-    k1 = k_eval(coeffs, lam)
-    k0 = k_eval(coeffs, lam0)
-    ratio = _sqrt_k_ratio(coeffs, lam, lam0)
-    Mx = coeffs.Ph * float(coeffs.H @ coeffs.xbar)  # M @ xbar
-
-    psi0 = (2.0 / 3.0) * (w / p) * (k1 - k0 * ratio)
-    psi1 = (Mx / p) * (ratio - 1.0)
-    psi2 = (w / p) * ((2.0 * r - p * lam) - ratio * (2.0 * r - p * lam0))
-    psi3 = (Mx / p) * ((p * lam + 2.0 * r) / k1 - (p * lam0 + 2.0 * r) * ratio / k0)
-    psi4 = (w / (3.0 * p)) * (
-        (p * p * lam * lam - 4.0 * p * r * lam - 8.0 * r * r) / k1
-        - (p * p * lam0 * lam0 - 4.0 * p * r * lam0 - 8.0 * r * r) * ratio / k0
-    )
-    return [psi0, psi1, psi2, psi3, psi4]
+    _, scale, _ = _map_scalars(coeffs, lam, lam0)
+    return np.eye(n) + scale * coeffs.M
 
 
 def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> Array:
@@ -239,32 +234,33 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
     _check_interval(lam, lam0)
-    return _psi_terms(coeffs, lam, lam0)[index]
+    if coeffs.degenerate or lam == lam0:
+        return np.zeros(coeffs.P.shape[0])
+
+    p, r, w = coeffs.p, coeffs.r, coeffs.w
+    k1 = k_eval(coeffs, lam)
+    k0 = k_eval(coeffs, lam0)
+    ratio, _, _ = _map_scalars(coeffs, lam, lam0)
+    Mx = coeffs.Ph * float(coeffs.H @ coeffs.xbar)  # M @ xbar
+
+    psi0 = (2.0 / 3.0) * (w / p) * (k1 - k0 * ratio)
+    psi1 = (Mx / p) * (ratio - 1.0)
+    psi2 = (w / p) * ((2.0 * r - p * lam) - ratio * (2.0 * r - p * lam0))
+    psi3 = (Mx / p) * ((p * lam + 2.0 * r) / k1 - (p * lam0 + 2.0 * r) * ratio / k0)
+    psi4 = (w / (3.0 * p)) * (
+        (p * p * lam * lam - 4.0 * p * r * lam - 8.0 * r * r) / k1
+        - (p * p * lam0 * lam0 - 4.0 * p * r * lam0 - 8.0 * r * r) * ratio / k0
+    )
+    return [psi0, psi1, psi2, psi3, psi4][index]
 
 
 def inhomogeneous_sum(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
-    """Sum of the five integrated offset terms: the affine part of the flow map.
-
-    Evaluated in the algebraically combined form
-
-        Ph z (lam/k(lam) - s lam0/k(lam0))
-        + Ph (H xbar) (r/p) (1/k(lam) - s/k(lam0)),   s = sqrt(k(lam0)/k(lam)),
-
-    which is identical to the term-by-term sum but free of the
-    catastrophic cancellation the individual terms suffer when
-    H P H^T >> R (the terms grow like p/r while their sum stays O(1)).
-    """
+    """The affine part d = Ph * c of the flow map: the five psi terms summed as in `_map_scalars`."""
     _check_interval(lam, lam0)
-    n = coeffs.P.shape[0]
     if coeffs.degenerate or lam == lam0:
-        return np.zeros(n)
-    p, r = coeffs.p, coeffs.r
-    k1 = k_eval(coeffs, lam)
-    k0 = k_eval(coeffs, lam0)
-    s = _sqrt_k_ratio(coeffs, lam, lam0)
-    measurement_part = coeffs.z * (lam / k1 - s * lam0 / k0)
-    prior_part = float(coeffs.H @ coeffs.xbar) * (r / p) * (1.0 / k1 - s / k0)
-    return coeffs.Ph * (measurement_part + prior_part)
+        return np.zeros(coeffs.P.shape[0])
+    _, _, c = _map_scalars(coeffs, lam, lam0)
+    return coeffs.Ph * c
 
 
 def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[Array, Array]:
@@ -277,15 +273,15 @@ def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tupl
 
 
 def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, lam0: float) -> Array:
-    """Move a (count, n_x) array of states through the flow map.
+    """Move a (count, n_x) array of states through the flow map over [lam0, lam].
 
-    Each row x goes to Phi @ x + d, but the rank-one structure keeps the
-    cost at O(count * n_x) instead of a dense matrix product.
+    Each row x goes to Phi @ x + d = x + scale (H x) Ph + Ph c. The
+    rank-one structure makes one sub-step cost a (count, n_x) @ (n_x,)
+    product, one rank-one update of the ensemble and a few scalar
+    operations: O(count * n_x), with no n_x x n_x matrix.
     """
     _check_interval(lam, lam0)
     if coeffs.degenerate:
         return particles.copy()
-    ratio = _sqrt_k_ratio(coeffs, lam, lam0)
-    d = inhomogeneous_sum(coeffs, lam, lam0)
-    scale = (ratio - 1.0) / coeffs.p
-    return particles + scale * np.outer(particles @ coeffs.H, coeffs.Ph) + d
+    _, scale, c = _map_scalars(coeffs, lam, lam0)
+    return particles + scale * ((particles @ coeffs.H)[:, np.newaxis] * coeffs.Ph) + coeffs.Ph * c

@@ -16,8 +16,9 @@ from pflow.filters import (
     predict_particles,
     run_filter,
 )
+from pflow.flow_core import analytic_flow_map, build_coefficients
 from pflow.model import SystemModel, Trajectory, random_coupled_model, simulate, ungm_model
-from pflow.oracle import kalman_posterior
+from pflow.oracle import kalman_posterior, random_spd
 
 
 def scalar_unit_model(measurement_scale=1.0):
@@ -39,6 +40,32 @@ def zero_measurement_model(n=2):
 
 def ensemble(*rows):
     return np.array(rows, dtype=float)
+
+
+def analytic_reference(particles, P, model, z, steps):
+    """NA-EDH from the public closed forms: per sub-interval, coefficients
+    relinearized at the ensemble mean and the dense map X @ Phi^T + d."""
+    grid = lambda_grid(steps)
+    X = particles
+    xbar0 = X.mean(axis=0)
+    for lam0, lam in zip(grid[:-1], grid[1:]):
+        x_lin = X.mean(axis=0)
+        H = model.measurement_jacobian(x_lin)
+        z_lin = z - model.measurement(x_lin) + H @ x_lin
+        phi, d = analytic_flow_map(build_coefficients(P, H, model.R, z_lin, xbar0), lam, lam0)
+        X = X @ phi.T + d
+    return X
+
+
+def reference_case(model_name):
+    """A curved-measurement model with an ensemble, a covariance and a measurement."""
+    rng = np.random.default_rng(21)
+    if model_name == "ungm":
+        m = ungm_model()
+        return m, rng.standard_normal((40, 1)) * 3.0 + 1.0, np.array([[2.5]]), np.array([0.7])
+    m = random_coupled_model(5, rng)
+    ens = rng.standard_normal((40, 5)) + 0.5
+    return m, ens, random_spd(rng, 5), np.array([4.0])
 
 
 class TestLambdaGrid:
@@ -286,7 +313,46 @@ class TestEulerConvergesToAnalytic:
         assert errors[0] > errors[1] > errors[2]
 
 
+class TestAnalyticUpdatesMatchPublicClosedForms:
+    # The filters' rank-one kernel must stay the map that build_coefficients
+    # and analytic_flow_map define, so a fast path cannot make another filter.
+    @pytest.mark.parametrize("model_name", ["ungm", "coupled"])
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_naedh_matches_reference(self, model_name, steps):
+        m, ens, P, z = reference_case(model_name)
+        cfg = FilterConfig(variant="NA-EDH", particle_count=ens.shape[0], lambda_steps=steps)
+        out = naedh_update(ens, P, m, z, cfg)
+        reference = analytic_reference(ens, P, m, z, steps)
+        np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("model_name", ["ungm", "coupled"])
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_aedh_matches_reference(self, model_name, steps):
+        # A-EDH is the one-interval map whatever lambda_steps says.
+        m, ens, P, z = reference_case(model_name)
+        cfg = FilterConfig(variant="A-EDH", particle_count=ens.shape[0], lambda_steps=steps)
+        out = aedh_update(ens, P, m, z, cfg)
+        reference = analytic_reference(ens, P, m, z, 1)
+        np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+
 class TestNaedhUpdate:
+    def test_zero_jacobian_is_inert(self):
+        m = zero_measurement_model()
+        ens = ensemble([1.0, 2.0], [-1.0, 0.5])
+        cfg = FilterConfig(variant="NA-EDH", particle_count=2, lambda_steps=4)
+        out = naedh_update(ens, np.eye(2), m, np.array([3.0]), cfg)
+        np.testing.assert_allclose(out, ens)
+
+    def test_ungm_ensemble_centred_at_zero_is_inert(self):
+        # h'(0) = 0, so every sub-interval linearizes to a degenerate row.
+        ens = ensemble([-1.5], [0.25], [1.25])
+        assert ens.mean(axis=0)[0] == 0.0
+        cfg = FilterConfig(variant="NA-EDH", particle_count=3, lambda_steps=10)
+        out = naedh_update(ens, np.array([[2.0]]), ungm_model(), np.array([0.4]), cfg)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, ens)
+
     @pytest.mark.parametrize("steps", [2, 10, 100])
     def test_linear_measurement_equals_single_step(self, steps):
         m = scalar_unit_model(measurement_scale=1.3)
