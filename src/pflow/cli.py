@@ -194,10 +194,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "verify":
+        if args.instances < 1:
+            parser.error(f"verify --instances must be >= 1, got {args.instances}")
         return _cmd_verify(args)
     return _cmd_simulate(args)
 

@@ -28,6 +28,9 @@ QUADRATURE_ABSOLUTE_TOLERANCE = 1e-10
 QUADRATURE_RELATIVE_TOLERANCE = 1e-9
 QUADRATURE_MAX_DEPTH = 50
 
+# Steps of the flow integrator whose drift is tabulated at once.
+FLOW_TABLE_STEPS = 1024
+
 
 def matrix_exponential(M: Array) -> Array:
     """Matrix exponential by scaling and squaring with a truncated series.
@@ -63,9 +66,20 @@ def integrate_flow_batch(
     Row i of x0_rows is integrated under coeffs_list[i] from lambda0 to
     lambda1, each a scalar shared by all rows or a length-N array with
     one interval per row. method is "euler" (drift at the left endpoint)
-    or "rk4" (classical fourth order). The rank-one drift structure keeps
-    each right-hand-side evaluation at O(n) per instance, which makes
-    sweeps over thousands of instances practical.
+    or "rk4" (classical fourth order); step i starts at lambda0 + i*h.
+
+    The drift does not depend on the state: A(lambda) = a(lambda) Ph H^T
+    and b(lambda) = w + beta(lambda) Ph, with per-row scalars a and beta.
+    Both are tabulated for FLOW_TABLE_STEPS steps at a time (left, mid
+    and right RK4 points, left only for Euler), so the tables hold
+    O(FLOW_TABLE_STEPS * N) floats whatever the step count, and the
+    per-step loop is left with the right-hand sides, each one row-wise
+    dot product and an O(n) update per instance.
+
+    Raises:
+        ValueError: For steps < 1, an unknown method, degenerate
+            coefficients, x0_rows not of shape (N, n), or an interval
+            that is neither a scalar nor of length N.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -74,43 +88,61 @@ def integrate_flow_batch(
     if any(c.degenerate for c in coeffs_list):
         raise ValueError("batch integration expects non-degenerate coefficients")
 
-    Ph = np.stack([c.Ph for c in coeffs_list])
-    H = np.stack([c.H for c in coeffs_list])
-    w = np.stack([c.w for c in coeffs_list])
-    xbar = np.stack([c.xbar for c in coeffs_list])
-    p = np.array([c.p for c in coeffs_list])[:, None]
-    r = np.array([c.r for c in coeffs_list])[:, None]
-    Hw = np.einsum("ij,ij->i", H, w)[:, None]
-    Hxbar = np.einsum("ij,ij->i", H, xbar)[:, None]
+    # The loop carries each row as a 1 x n matrix and each per-row scalar
+    # as a 1 x 1 matrix, so X @ H_col is the row-wise dot product H x.
+    Ph = np.stack([c.Ph for c in coeffs_list])[:, None, :]
+    w = np.stack([c.w for c in coeffs_list])[:, None, :]
+    xbar = np.stack([c.xbar for c in coeffs_list])[:, None, :]
+    H_col = np.stack([c.H for c in coeffs_list])[:, :, None]
+    p = np.array([c.p for c in coeffs_list])[:, None, None]
+    r = np.array([c.r for c in coeffs_list])[:, None, None]
+    Hw = w @ H_col
+    Hxbar = xbar @ H_col
+
+    rows, _, n = Ph.shape
+    x = np.asarray(x0_rows, dtype=float)
+    if x.shape != (rows, n):
+        raise ValueError(f"x0_rows must have shape {(rows, n)}, got {x.shape}")
+    # A scalar interval broadcasts over the rows; an array pairs one interval with each row.
+    lam0 = np.reshape(np.asarray(lambda0, dtype=float), (-1, 1, 1))
+    lam1 = np.reshape(np.asarray(lambda1, dtype=float), (-1, 1, 1))
+    if lam0.shape[0] not in (1, rows) or lam1.shape[0] not in (1, rows):
+        raise ValueError(f"lambda0 and lambda1 must each be a scalar or have length {rows}")
 
     def drift(lam: Array) -> tuple[Array, Array]:
-        """Per row, the scale a of A(lam) = a Ph H^T, and the offset b(lam)."""
+        """Tables of a and beta over lam, shape (len(lam), N, 1, 1).
+
+        b = (I + 2 lam A)((I + lam A) w + A xbar) = w + beta Ph, by H Ph = p:
+        the inner factor is w + g Ph with g = a (lam H w + H xbar).
+        """
         a = -0.5 / (lam * p + r)
-        inner = w + lam * (a * Hw * Ph) + a * Hxbar * Ph
-        return a, inner + 2.0 * lam * (a * np.einsum("ij,ij->i", H, inner)[:, None] * Ph)
+        g = a * (lam * Hw + Hxbar)
+        return a, g + 2.0 * lam * (a * (Hw + g * p))
 
-    def rhs(a: Array, b: Array, X: Array) -> Array:
-        return a * np.einsum("ij,ij->i", H, X)[:, None] * Ph + b
+    def rhs(a: Array, beta: Array, X: Array) -> Array:
+        return (a * (X @ H_col) + beta) * Ph + w
 
-    # Columns broadcast a scalar interval over the rows, or pair one interval with each row.
-    lam0 = np.reshape(np.asarray(lambda0, dtype=float), (-1, 1))
-    lam1 = np.reshape(np.asarray(lambda1, dtype=float), (-1, 1))
-    x = np.asarray(x0_rows, dtype=float)
     h = (lam1 - lam0) / steps
-    lam = lam0
-    for i in range(steps):
-        k1 = rhs(*drift(lam), x)
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    x = x[:, None, :]
+    for first in range(0, steps, FLOW_TABLE_STEPS):
+        index = np.arange(first, min(first + FLOW_TABLE_STEPS, steps))
+        lam = lam0 + index[:, None, None, None] * h
+        left = zip(*drift(lam))
         if method == "euler":
-            x = x + h * k1
+            for a, beta in left:
+                x = x + h * rhs(a, beta, x)
         else:
-            # Stages 2 and 3 share lam + h/2, and the drift does not depend on the state.
-            a_mid, b_mid = drift(lam + 0.5 * h)
-            k2 = rhs(a_mid, b_mid, x + 0.5 * h * k1)
-            k3 = rhs(a_mid, b_mid, x + 0.5 * h * k2)
-            k4 = rhs(*drift(lam + h), x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam = lam0 + (i + 1) * h
-    return x
+            # Stages 2 and 3 share the midpoint.
+            mid, right = zip(*drift(lam + half_h)), zip(*drift(lam + h))
+            for (a1, b1), (a2, b2), (a4, b4) in zip(left, mid, right):
+                k1 = rhs(a1, b1, x)
+                k2 = rhs(a2, b2, x + half_h * k1)
+                k3 = rhs(a2, b2, x + half_h * k2)
+                k4 = rhs(a4, b4, x + h * k3)
+                x = x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x[:, 0, :]
 
 
 def _adaptive_simpson(
@@ -275,7 +307,12 @@ def verify_closed_forms(
 
     Returns a mapping with the same keys as ORACLE_TOLERANCES; a healthy
     build stays below every tolerance.
+
+    Raises:
+        ValueError: If n_instances < 1, which would check nothing.
     """
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     from .flow_core import analytic_flow_map, psi_term, transition_matrix
 
     rng = np.random.default_rng(seed)

@@ -46,6 +46,15 @@ class TestVerify:
         assert "all closed forms verified" in captured.out
         assert captured.out.count("OK") >= 6
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_instance_count_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", count, "--seed", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--instances must be >= 1" in captured.err
+        assert "verified" not in captured.out
+
 
 class TestBench:
     def _args(self, tmp_path, extra=()):

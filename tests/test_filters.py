@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_model
 from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
@@ -16,7 +18,7 @@ from pflow.filters import (
     predict_particles,
     run_filter,
 )
-from pflow.flow_core import analytic_flow_map, build_coefficients
+from pflow.flow_core import DEGENERATE_H_TOL, analytic_flow_map, build_coefficients
 from pflow.model import SystemModel, Trajectory, random_coupled_model, simulate, ungm_model
 from pflow.oracle import kalman_posterior, random_spd
 
@@ -406,6 +408,30 @@ class TestNaedhUpdate:
         cfg = FilterConfig(variant="NA-EDH", particle_count=1)
         with pytest.raises(ValueError, match="scalar measurement"):
             naedh_update(ensemble([0.0, 0.0]), np.eye(2), m, np.array([1.0, 2.0]), cfg)
+
+
+class TestMeasurementRowBelowTolerance:
+    # A nonzero measurement row with max |H| < DEGENERATE_H_TOL carries no
+    # information, so both analytic updates leave the ensemble exactly alone.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.floats(1e-300, DEGENERATE_H_TOL, exclude_max=True),
+        steps=st.integers(1, 12),
+    )
+    def test_analytic_updates_are_identity(self, seed, size, steps):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        H = rng.standard_normal((1, n))
+        H = H / np.abs(H).max() * size
+        m = linear_model(np.eye(n), np.eye(n), H, [[rng.uniform(0.2, 4.0)]])
+        X = rng.standard_normal((int(rng.integers(1, 12)), n))
+        P = random_spd(rng, n)
+        z = np.array([2.0 * rng.standard_normal()])
+        cfg = FilterConfig(variant="NA-EDH", particle_count=X.shape[0], lambda_steps=steps)
+        assert np.abs(H).max() == size
+        assert np.array_equal(aedh_update(X, P, m, z, cfg), X)
+        assert np.array_equal(naedh_update(X, P, m, z, cfg), X)
 
 
 class TestSampleCovarianceConvergence:
