@@ -12,7 +12,7 @@ are emitted as CSV, markdown, and an SVG scatter plot.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,12 +26,6 @@ Array = np.ndarray
 # default sweep trims it and the full sweep is opt-in.
 _LEDH_TRIM_DIM = 100
 _LEDH_TRIM_PARTICLES = 100
-
-CSV_HEADER = (
-    "model,dim,filter,particles,n_lambda,mc_runs,seed,"
-    "rmse_mean,rmse_std,runtime_ms_mean,rmse_rel_ekf,runtime_rel_ekf"
-)
-
 
 @dataclass
 class BenchConfig:
@@ -79,6 +73,8 @@ class BenchConfig:
             raise ValueError("particle_counts must be a nonempty list of positive integers")
         if not self.filters:
             raise ValueError("filters must be nonempty")
+        if not self.out_dir:
+            raise ValueError("out_dir must be nonempty")
         unknown = set(self.filters) - set(FILTER_NAMES)
         if unknown:
             raise ValueError(f"unknown filters {sorted(unknown)}; expected subset of {FILTER_NAMES}")
@@ -118,6 +114,9 @@ class ReportRow:
     runtime_ms_mean: float
     rmse_rel_ekf: float
     runtime_rel_ekf: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
 
 
 @dataclass
@@ -270,36 +269,21 @@ def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
     for r in ok:
         groups.setdefault((r.model, r.dim, r.filter, r.particles), []).append(r)
 
-    ekf_by_particles: dict[tuple, tuple[float, float]] = {}
-    for (model, dim, name, particles), rs in groups.items():
-        if name != "EKF":
-            continue
-        ekf_by_particles[(model, dim, particles)] = (
-            float(np.mean([r.rmse for r in rs])),
-            float(np.mean([r.runtime_ms for r in rs])),
-        )
-    pooled: dict[tuple, list[RunRecord]] = {}
-    for r in ok:
-        if r.filter == "EKF":
-            pooled.setdefault((r.model, r.dim), []).append(r)
-    ekf_pooled = {
-        key: (float(np.mean([r.rmse for r in rs])), float(np.mean([r.runtime_ms for r in rs])))
-        for key, rs in pooled.items()
-    }
+    def means(rs: list[RunRecord]) -> tuple[float, float]:
+        return float(np.mean([r.rmse for r in rs])), float(np.mean([r.runtime_ms for r in rs]))
 
     filter_order = {name: i for i, name in enumerate(FILTER_NAMES)}
     rows: list[ReportRow] = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[3], filter_order.get(k[2], 99))):
         model, dim, name, particles = key
         rs = groups[key]
-        baseline = ekf_by_particles.get((model, dim, particles)) or ekf_pooled.get((model, dim))
-        if baseline is None:
+        baseline = groups.get((model, dim, "EKF", particles)) or [
+            r for r in ok if r.filter == "EKF" and (r.model, r.dim) == (model, dim)
+        ]
+        if not baseline:
             raise ValueError(f"missing EKF baseline for group (model={model}, dim={dim})")
-        base_rmse, base_runtime = baseline
-        rmse_values = np.array([r.rmse for r in rs])
-        runtime_values = np.array([r.runtime_ms for r in rs])
-        rmse_mean = float(np.mean(rmse_values))
-        runtime_mean = float(np.mean(runtime_values))
+        base_rmse, base_runtime = means(baseline)
+        rmse_mean, runtime_mean = means(rs)
         rows.append(
             ReportRow(
                 model=model,
@@ -310,7 +294,7 @@ def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
                 mc_runs=len(rs),
                 seed=rs[0].master_seed,
                 rmse_mean=rmse_mean,
-                rmse_std=float(np.std(rmse_values)),
+                rmse_std=float(np.std([r.rmse for r in rs])),
                 runtime_ms_mean=runtime_mean,
                 rmse_rel_ekf=rmse_mean / base_rmse,
                 runtime_rel_ekf=runtime_mean / base_runtime if base_runtime > 0 else 0.0,
@@ -319,36 +303,18 @@ def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
     return ReportTable(rows=rows)
 
 
-def _format_value(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_csv(table: ReportTable, path: str) -> None:
     """Write the normalized table as CSV (LF endings, '.' decimals).
 
-    A table without rows yields a header-only file.
+    One column per ReportRow field, in field order; floats are written
+    as their shortest round-trip repr. A table without rows yields a
+    header-only file.
     """
     lines = [CSV_HEADER]
     for row in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.model,
-                    str(row.dim),
-                    row.filter,
-                    str(row.particles),
-                    str(row.n_lambda),
-                    str(row.mc_runs),
-                    str(row.seed),
-                    _format_value(row.rmse_mean),
-                    _format_value(row.rmse_std),
-                    _format_value(row.runtime_ms_mean),
-                    _format_value(row.rmse_rel_ekf),
-                    _format_value(row.runtime_rel_ekf),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+        values = (getattr(row, f.name) for f in fields(ReportRow))
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_markdown(table: ReportTable, path: str) -> None:
@@ -380,7 +346,7 @@ def emit_markdown(table: ReportTable, path: str) -> None:
                     cells.append(f"{getattr(row, attr):.4g}" if row is not None else "-")
                 lines.append(f"| {label}_{count} | " + " | ".join(cells) + " |")
         chunks.append("\n".join(lines))
-    _write_text(path, "\n\n".join(chunks) + "\n")
+    write_text(path, "\n\n".join(chunks) + "\n")
 
 
 def emit_scatter_svg(table: ReportTable, path: str) -> None:
@@ -464,10 +430,11 @@ def emit_scatter_svg(table: ReportTable, path: str) -> None:
         f'transform="rotate(-90 16 {height / 2:.0f})">RMSE relative to EKF</text>'
     )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
-def _write_text(path: str, content: str) -> None:
+def write_text(path: str, content: str) -> None:
+    """Write content as UTF-8 with newlines untranslated; OSError names the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
@@ -493,28 +460,34 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_LIST_FIELDS = {"dims": int, "particle_counts": int, "filters": str}
-_INT_FIELDS = ("lambda_steps", "mc_runs", "trajectory_steps", "master_seed")
-_BOOL_FIELDS = ("no_timing", "full_ledh")
+def _parse_field(default, value):
+    """Convert one config value to the type of the field's default."""
+    if isinstance(default, bool):
+        return value in (True, "true", "True", "1", "yes")
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        return tuple(type(default[0])(v) for v in value)
+    return type(default)(value)
 
 
 def config_from_mapping(values: Mapping) -> BenchConfig:
-    """Build a BenchConfig from string-valued mapping entries."""
-    kwargs: dict = {}
+    """Build a BenchConfig from string-valued mapping entries.
+
+    The keys are exactly BenchConfig's field names; each value converts
+    to the type of its field. Lists are comma separated.
+
+    Raises:
+        ValueError: On an unknown key, an unconvertible value or a
+            config that BenchConfig rejects.
+    """
+    defaults = {f.name: f.default for f in fields(BenchConfig)}
+    kwargs = {}
     for key, value in values.items():
-        if key in _LIST_FIELDS:
-            convert = _LIST_FIELDS[key]
-            if isinstance(value, str):
-                items = [v.strip() for v in value.split(",") if v.strip()]
-                kwargs[key] = tuple(convert(v) for v in items)
-            else:
-                kwargs[key] = tuple(convert(v) for v in value)
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _BOOL_FIELDS:
-            kwargs[key] = value in (True, "true", "True", "1", "yes")
-        elif key in ("model", "out_dir"):
-            kwargs[key] = str(value)
-        else:
+        if key not in defaults:
             raise ValueError(f"unknown benchmark config key {key!r}")
+        try:
+            kwargs[key] = _parse_field(defaults[key], value)
+        except ValueError as exc:
+            raise ValueError(f"bad value {value!r} for {key}: {exc}") from exc
     return BenchConfig(**kwargs)

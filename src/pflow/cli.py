@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .bench import (
     normalize_vs_ekf,
     parse_config_file,
     run_benchmark,
+    write_text,
 )
 from .filters import FILTER_NAMES
 from .model import random_coupled_model, simulate, ungm_model
@@ -46,12 +48,16 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--lambda-steps", type=int)
     bench.add_argument("--mc-runs", type=int)
     bench.add_argument("--trajectory-steps", type=int)
-    bench.add_argument("--seed", type=int, help="master seed (falls back to $PFLOW_SEED)")
-    bench.add_argument("--filters", help=f"comma-separated subset of {','.join(FILTER_NAMES)}")
+    bench.add_argument("--seed", type=int, dest="master_seed",
+                       help="master seed (falls back to $PFLOW_SEED)")
+    bench.add_argument("--filters",
+                       help=f"comma-separated subset of {','.join(FILTER_NAMES)}, with EKF")
     bench.add_argument("--out-dir", help="output directory (default bench_out)")
-    bench.add_argument("--no-timing", action="store_true", help="zero the runtime columns")
+    bench.add_argument("--no-timing", action="store_true", default=None,
+                       help="zero the runtime columns")
     bench.add_argument("--strict", action="store_true", help="nonzero exit on any failed run")
-    bench.add_argument("--full-ledh", action="store_true", help="run LEDH at every sweep point")
+    bench.add_argument("--full-ledh", action="store_true", default=None,
+                       help="run LEDH at every sweep point")
 
     verify = sub.add_parser("verify", help="run the closed-form oracle suite")
     verify.add_argument("--instances", type=int, default=100)
@@ -67,38 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bench_config(args: argparse.Namespace) -> BenchConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    if args.model:
-        values["model"] = args.model
-    if args.dims:
-        values["dims"] = args.dims
-    if args.particle_counts:
-        values["particle_counts"] = args.particle_counts
-    if args.lambda_steps is not None:
-        values["lambda_steps"] = args.lambda_steps
-    if args.mc_runs is not None:
-        values["mc_runs"] = args.mc_runs
-    if args.trajectory_steps is not None:
-        values["trajectory_steps"] = args.trajectory_steps
-    if args.filters:
-        values["filters"] = args.filters
-    if args.seed is not None:
-        values["master_seed"] = args.seed
-    elif "master_seed" not in values and os.environ.get(SEED_ENV_VAR):
-        values["master_seed"] = int(os.environ[SEED_ENV_VAR])
-    if args.out_dir:
-        values["out_dir"] = args.out_dir
-    if args.no_timing:
-        values["no_timing"] = True
-    if args.full_ledh:
-        values["full_ledh"] = True
-    return config_from_mapping(values)
+    """Config-file values, overridden by every given flag, then the $PFLOW_SEED fallback."""
+    values = parse_config_file(args.config) if args.config else {}
+    names = {f.name for f in dataclasses.fields(BenchConfig)}
+    values.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    if "master_seed" not in values and os.environ.get(SEED_ENV_VAR):
+        values["master_seed"] = os.environ[SEED_ENV_VAR]
+    config = config_from_mapping(values)
+    if "EKF" not in config.filters:
+        raise ValueError("filters must include EKF, the baseline every table row is normalized by")
+    return config
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = _bench_config(args)
+def _cmd_bench(config: BenchConfig, strict: bool) -> int:
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -111,18 +98,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     failed = [r for r in records if r.failed]
     metadata = {
         "pflow_version": __version__,
-        "config": {
-            "model": config.model,
-            "dims": list(config.dims),
-            "particle_counts": list(config.particle_counts),
-            "lambda_steps": config.lambda_steps,
-            "mc_runs": config.mc_runs,
-            "trajectory_steps": config.trajectory_steps,
-            "master_seed": config.master_seed,
-            "filters": list(config.filters),
-            "no_timing": config.no_timing,
-            "full_ledh": config.full_ledh,
-        },
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "out_dir"},
         "notes": {
             "fresh_random_system_per_run": True,
             "common_random_numbers_across_filters": True,
@@ -131,9 +107,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "run_records": len(records),
         "failed_runs": len(failed),
     }
-    with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as handle:
-        json.dump(metadata, handle, indent=2)
-        handle.write("\n")
+    write_text(os.path.join(out_dir, "metadata.json"), json.dumps(metadata, indent=2) + "\n")
 
     print(f"wrote {len(table.rows)} table rows from {len(records)} runs to {out_dir}")
     for row in table.rows:
@@ -147,7 +121,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for r in failed[:10]:
             print(f"  {r.filter} dim={r.dim} N_p={r.particles} run={r.run_index}: {r.error}",
                   file=sys.stderr)
-        if args.strict:
+        if strict:
             return 2
     return 0
 
@@ -186,8 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(",".join(cells))
     content = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+        write_text(args.out, content)
     else:
         sys.stdout.write(content)
     return 0
@@ -197,11 +170,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "bench":
-        return _cmd_bench(args)
+        try:
+            config = _bench_config(args)
+        except ValueError as exc:
+            parser.error(f"bench: {exc}")
+        return _cmd_bench(config, args.strict)
     if args.command == "verify":
         if args.instances < 1:
             parser.error(f"verify --instances must be >= 1, got {args.instances}")
         return _cmd_verify(args)
+    if args.model == "coupled" and args.dim < 1:
+        parser.error(f"simulate --dim must be >= 1, got {args.dim}")
+    if args.steps < 0:
+        parser.error(f"simulate --steps must be >= 0, got {args.steps}")
     return _cmd_simulate(args)
 
 

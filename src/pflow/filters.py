@@ -81,14 +81,12 @@ class FilterConfig:
 
 
 def _lambda_points(n_steps: int) -> list[float]:
-    """The points of lambda_grid as floats: j * (1/N), then 1, as np.linspace gives them."""
+    """Uniform pseudo-time grid 0 = lambda_0 < ... < lambda_N = 1.
+
+    j * (1/N), then 1: the floats np.linspace(0, 1, N + 1) gives.
+    """
     step = 1.0 / n_steps
     return [j * step for j in range(n_steps)] + [1.0]
-
-
-def lambda_grid(n_steps: int) -> Array:
-    """Uniform pseudo-time grid 0 = lambda_0 < ... < lambda_N = 1."""
-    return np.array(_lambda_points(n_steps))
 
 
 def _ensemble_mean(particles: Array) -> Array:
@@ -135,21 +133,19 @@ def edh_update(
     by one explicit Euler step.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = lambda_grid(config.lambda_steps)
-    X = particles.copy()
-    xbar0 = X.mean(axis=0)
+    grid = _lambda_points(config.lambda_steps)
+    X = particles
+    xbar0 = _ensemble_mean(X)
 
-    for j in range(1, grid.size):
-        lam = grid[j]
-        dlam = grid[j] - grid[j - 1]
-        xbar_j = X.mean(axis=0)
+    for lam0, lam in zip(grid, grid[1:]):
+        xbar_j = _ensemble_mean(X)
         H = np.atleast_2d(model.measurement_jacobian(xbar_j))
         if np.max(np.abs(H)) < DEGENERATE_H_TOL:
             continue
         z_lin = _linearized_measurement(z, model.measurement(xbar_j), H, xbar_j)
         A = drift_matrix_A(P_pred, H, model.R, lam)
         b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
-        X = X + (X @ A.T + b) * dlam
+        X = X + (X @ A.T + b) * (lam - lam0)
     return X
 
 
@@ -168,15 +164,13 @@ def ledh_update(
     particles in one stacked call per pseudo-time step.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = lambda_grid(config.lambda_steps)
-    X = particles.copy()
-    xbar0 = X.mean(axis=0)
+    grid = _lambda_points(config.lambda_steps)
+    X = particles
+    xbar0 = _ensemble_mean(X)
     scalar_measurement = model.n_z == 1
     r = float(model.R[0, 0]) if scalar_measurement else None
 
-    for j in range(1, grid.size):
-        lam = grid[j]
-        dlam = grid[j] - grid[j - 1]
+    for lam0, lam in zip(grid, grid[1:]):
         moves = np.zeros_like(X)
         hX = model.measurement(X)
         for i in range(X.shape[0]):
@@ -198,7 +192,7 @@ def ledh_update(
                 A = drift_matrix_A(P_pred, H, model.R, lam)
                 b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
                 moves[i] = A @ x + b
-        X = X + moves * dlam
+        X = X + moves * (lam - lam0)
     return X
 
 

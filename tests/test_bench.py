@@ -126,6 +126,20 @@ class TestNormalizeVsEkf:
         expected_filters = ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"]
         assert keys == [(p, f) for p in (10, 50, 100, 500) for f in expected_filters]
 
+    def test_pooled_ekf_baseline_for_unmatched_particle_count(self):
+        records = [
+            record("EKF", 10, 100.0, 2.0, run_index=0),
+            record("EKF", 10, 140.0, 6.0, run_index=1),
+            record("EDH", 10, 60.0, 8.0),
+            record("EDH", 50, 90.0, 12.0),
+        ]
+        by_key = {(r.filter, r.particles): r for r in normalize_vs_ekf(records).rows}
+        # EDH at N=50 has no EKF at N=50; it divides by the EKF@10 means.
+        assert by_key[("EDH", 50)].rmse_rel_ekf == 90.0 / 120.0
+        assert by_key[("EDH", 50)].runtime_rel_ekf == 12.0 / 4.0
+        assert by_key[("EDH", 10)].rmse_rel_ekf == 60.0 / 120.0
+        assert ("EKF", 50) not in by_key
+
     def test_zeroed_runtime_baseline(self):
         records = [record("EKF", 10, 100.0, 0.0), record("EDH", 10, 80.0, 0.0)]
         table = normalize_vs_ekf(records)
@@ -234,6 +248,21 @@ class TestBenchConfig:
         )
         values = parse_config_file(str(path))
         assert values == {"model": "ungm", "mc_runs": "2", "particle_counts": "10,20"}
+
+    def test_config_file_with_every_key_round_trips(self, tmp_path):
+        config = BenchConfig(
+            model="ungm", dims=(3, 7), particle_counts=(5, 20), lambda_steps=4, mc_runs=6,
+            trajectory_steps=9, master_seed=123, filters=("EKF", "LEDH"), out_dir="results",
+            no_timing=True, full_ledh=True,
+        )
+        lines = []
+        for key, value in dataclasses.asdict(config).items():
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
+        assert len(lines) == len(dataclasses.fields(BenchConfig))
+        path = tmp_path / "bench.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert config_from_mapping(parse_config_file(str(path))) == config
 
     def test_config_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.cfg"

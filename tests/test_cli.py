@@ -1,11 +1,13 @@
 """End-to-end tests for the pflow command-line interface."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from pflow.cli import main
+from pflow.bench import BenchConfig
+from pflow.cli import _build_parser, main
 
 
 class TestSimulate:
@@ -78,7 +80,25 @@ class TestBench:
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         main(self._args(dir_a, ("--no-timing",)))
         main(self._args(dir_b, ("--no-timing",)))
-        assert (dir_a / "results.csv").read_bytes() == (dir_b / "results.csv").read_bytes()
+        for name in ("results.csv", "results.md", "scatter.svg", "metadata.json"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_every_config_field_has_a_flag(self):
+        # Each flag's dest is its BenchConfig field, and an absent flag is
+        # None so that it leaves the config-file value alone.
+        args = vars(_build_parser().parse_args(["bench"]))
+        for field in dataclasses.fields(BenchConfig):
+            assert field.name in args, field.name
+            assert args[field.name] is None, field.name
+
+    def test_filters_without_ekf_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--model", "ungm", "--particle-counts", "10", "--mc-runs", "1",
+                  "--trajectory-steps", "5", "--filters", "A-EDH", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "must include EKF" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
@@ -113,3 +133,39 @@ class TestArgumentErrors:
     def test_bad_model(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--model", "lorenz"])
+
+    @pytest.mark.parametrize(
+        "argv, config, seed_env",
+        [
+            (["bench", "--mc-runs", "0"], None, None),
+            (["bench", "--dims", "x"], None, None),
+            (["bench", "--dims", ""], None, None),
+            (["bench", "--out-dir", ""], None, None),
+            (["bench"], "mc_runs = abc\n", None),
+            (["bench"], "particles = 10\n", None),
+            (["bench"], None, "abc"),
+            (["simulate", "--model", "coupled", "--dim", "0"], None, None),
+            (["simulate", "--steps", "-1"], None, None),
+        ],
+        ids=["mc-runs-0", "dims-x", "dims-empty", "out-dir-empty", "config-value",
+             "config-key", "seed-env", "simulate-dim-0", "simulate-steps-negative"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, config, seed_env, tmp_path,
+                                        monkeypatch, capsys):
+        out = tmp_path / "out"
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(out)]
+        elif "--out-dir" not in argv:
+            argv = argv + ["--out-dir", str(out)]
+        if config is not None:
+            path = tmp_path / "bench.cfg"
+            path.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        monkeypatch.delenv("PFLOW_SEED", raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv("PFLOW_SEED", seed_env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "pflow: error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -10,9 +10,9 @@ from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
 from pflow.filters import (
     FilterConfig,
     FilterDivergenceError,
+    _lambda_points,
     aedh_update,
     edh_update,
-    lambda_grid,
     ledh_update,
     naedh_update,
     predict_particles,
@@ -47,7 +47,7 @@ def ensemble(*rows):
 def analytic_reference(particles, P, model, z, steps):
     """NA-EDH from the public closed forms: per sub-interval, coefficients
     relinearized at the ensemble mean and the dense map X @ Phi^T + d."""
-    grid = lambda_grid(steps)
+    grid = np.linspace(0.0, 1.0, steps + 1)
     X = particles
     xbar0 = X.mean(axis=0)
     for lam0, lam in zip(grid[:-1], grid[1:]):
@@ -72,10 +72,16 @@ def reference_case(model_name):
 
 class TestLambdaGrid:
     def test_uniform(self):
-        np.testing.assert_allclose(lambda_grid(4), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert _lambda_points(4) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_single_step(self):
-        np.testing.assert_allclose(lambda_grid(1), [0.0, 1.0])
+        assert _lambda_points(1) == [0.0, 1.0]
+
+    def test_equals_linspace_exactly(self):
+        # EDH, LEDH and NA-EDH step over these points; the Euler reference
+        # grids are np.linspace, so equality here is to the last bit.
+        for n in range(1, 2001):
+            assert _lambda_points(n) == np.linspace(0.0, 1.0, n + 1).tolist(), n
 
 
 class TestConfigValidation:
