@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _bench_config(args: argparse.Namespace) -> BenchConfig:
     """Config-file values, overridden by every given flag, then the $PFLOW_SEED fallback."""
-    values = parse_config_file(args.config) if args.config else {}
+    try:
+        values = parse_config_file(args.config) if args.config else {}
+    except OSError as exc:
+        raise ValueError(f"cannot read --config: {exc}") from exc
     names = {f.name for f in dataclasses.fields(BenchConfig)}
     values.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     if "master_seed" not in values and os.environ.get(SEED_ENV_VAR):

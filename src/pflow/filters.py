@@ -18,6 +18,12 @@ linearization: the drift sees the pseudo-measurement
 z - h(x_L) + H x_L, the measurement the linearized model would have
 produced (for linear h this is z itself). Particles carry no weights
 and are never resampled.
+
+A measurement row with max |H| < DEGENERATE_H_TOL (1e-12) carries no
+information. A-EDH and NA-EDH map it to the identity, because their
+closed form divides by H P H^T; flow_core._map_scalars decides this.
+EDH and LEDH apply their Euler drift for every row: it divides only by
+k = lambda H P H^T + R >= R, and it is zero for H = 0.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 
 from .ekf import GaussianBelief, ekf_predict, ekf_update
 from .flow_core import (
-    DEGENERATE_H_TOL,
     _assemble_coefficients,
     _drift_offset_scale,
     apply_flow_ensemble,
@@ -140,8 +145,6 @@ def edh_update(
     for lam0, lam in zip(grid, grid[1:]):
         xbar_j = _ensemble_mean(X)
         H = np.atleast_2d(model.measurement_jacobian(xbar_j))
-        if np.max(np.abs(H)) < DEGENERATE_H_TOL:
-            continue
         z_lin = _linearized_measurement(z, model.measurement(xbar_j), H, xbar_j)
         A = drift_matrix_A(P_pred, H, model.R, lam)
         b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
@@ -176,8 +179,6 @@ def ledh_update(
         for i in range(X.shape[0]):
             x = X[i]
             H = np.atleast_2d(model.measurement_jacobian(x))
-            if np.max(np.abs(H)) < DEGENERATE_H_TOL:
-                continue
             z_lin = _linearized_measurement(z, hX[i], H, x)
             if scalar_measurement:
                 # Rank-one drift in its cancellation-free form, without

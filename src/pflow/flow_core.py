@@ -24,8 +24,9 @@ import numpy as np
 
 Array = np.ndarray
 
-# Below this infinity norm the measurement row carries no information and
-# the flow degenerates to the identity map.
+# Below this infinity norm the measurement row carries no information, and
+# the closed-form map, which divides by H P H^T, is the identity. The Euler
+# drift divides only by k >= R and needs no such rule.
 DEGENERATE_H_TOL = 1e-12
 
 
@@ -40,10 +41,10 @@ class FlowCoefficients:
         z: Scalar measurement.
         xbar: Mean of the predicted Gaussian (the drift offset uses this
             fixed linearization point), shape (n_x,).
-        Ph: P @ H, shape (n_x,).
-        p: H P H^T, positive whenever H is nonzero.
-        degenerate: True when H is (numerically) zero; the flow is then
-            the identity map.
+        Ph: P @ H, shape (n_x,); zero when degenerate.
+        p: H P H^T, positive whenever H is nonzero; zero when degenerate.
+        degenerate: True when max |H| < DEGENERATE_H_TOL; the closed-form
+            map is then the identity.
 
     `w` and `M` are derived on demand; the filters' map reads neither.
     """
@@ -60,7 +61,7 @@ class FlowCoefficients:
     @property
     def w(self) -> Array:
         """P H^T z / r, shape (n_x,); zero when degenerate. Read by the oracle and the psi terms."""
-        return np.zeros(self.Ph.shape[0]) if self.degenerate else self.Ph * (self.z / self.r)
+        return self.Ph * (self.z / self.r)
 
     @property
     def M(self) -> Array:
@@ -68,8 +69,7 @@ class FlowCoefficients:
 
         Built on demand: the filters use only its rank-one factors.
         """
-        n = self.Ph.shape[0]
-        return np.zeros((n, n)) if self.degenerate else np.outer(self.Ph, self.H)
+        return np.outer(self.Ph, self.H)
 
 
 def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) -> FlowCoefficients:
@@ -182,7 +182,7 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
 
 
 def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
-    """(s, scale, c) of the map over [lam0, lam] for non-degenerate coefficients.
+    """(s, scale, c) of the map over [lam0, lam]; (1, 0, 0), the identity, when degenerate.
 
     s = sqrt(k(lam0)/k(lam)), Phi = I + scale * M with scale = (s - 1)/p, and
     d = Ph * c with c = z (lam/k(lam) - s lam0/k(lam0)) + (H xbar)(r/p)(1/k(lam) - s/k(lam0)),
@@ -191,6 +191,8 @@ def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[flo
     A negative k ratio, or a zero k or p (a P not positive definite along
     H), gives NaNs as IEEE arithmetic would, so the flow ends nonfinite.
     """
+    if coeffs.degenerate:
+        return 1.0, 0.0, 0.0
     p, r = coeffs.p, coeffs.r
     h_xbar = float(coeffs.H @ coeffs.xbar)
     k1 = k_eval(coeffs, lam)
@@ -212,11 +214,8 @@ def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Arra
     over [lam0, lam]; see the oracle module for the cross-check.
     """
     _check_interval(lam, lam0)
-    n = coeffs.P.shape[0]
-    if coeffs.degenerate:
-        return np.eye(n)
     _, scale, _ = _map_scalars(coeffs, lam, lam0)
-    return np.eye(n) + scale * coeffs.M
+    return np.eye(coeffs.P.shape[0]) + scale * coeffs.M
 
 
 def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> Array:
@@ -234,7 +233,7 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
     _check_interval(lam, lam0)
-    if coeffs.degenerate or lam == lam0:
+    if coeffs.degenerate:
         return np.zeros(coeffs.P.shape[0])
 
     p, r, w = coeffs.p, coeffs.r, coeffs.w
@@ -257,8 +256,6 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
 def inhomogeneous_sum(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
     """The affine part d = Ph * c of the flow map: the five psi terms summed as in `_map_scalars`."""
     _check_interval(lam, lam0)
-    if coeffs.degenerate or lam == lam0:
-        return np.zeros(coeffs.P.shape[0])
     _, _, c = _map_scalars(coeffs, lam, lam0)
     return coeffs.Ph * c
 
@@ -281,7 +278,5 @@ def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, 
     operations: O(count * n_x), with no n_x x n_x matrix.
     """
     _check_interval(lam, lam0)
-    if coeffs.degenerate:
-        return particles.copy()
     _, scale, c = _map_scalars(coeffs, lam, lam0)
     return particles + scale * ((particles @ coeffs.H)[:, np.newaxis] * coeffs.Ph) + coeffs.Ph * c

@@ -77,16 +77,14 @@ def integrate_flow_batch(
     dot product and an O(n) update per instance.
 
     Raises:
-        ValueError: For steps < 1, an unknown method, degenerate
-            coefficients, x0_rows not of shape (N, n), or an interval
-            that is neither a scalar nor of length N.
+        ValueError: For steps < 1, an unknown method, x0_rows not of
+            shape (N, n), or an interval that is neither a scalar nor of
+            length N.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    if any(c.degenerate for c in coeffs_list):
-        raise ValueError("batch integration expects non-degenerate coefficients")
 
     # The loop carries each row as a 1 x n matrix and each per-row scalar
     # as a 1 x 1 matrix, so X @ H_col is the row-wise dot product H x.
@@ -181,7 +179,7 @@ def _adaptive_simpson(
 
 
 def _offset_term(coeffs: FlowCoefficients, index: int, tau: float) -> Array:
-    """The index-th term of the five-way drift-offset expansion at tau."""
+    """The index-th term, 0..4, of the five-way drift-offset expansion at tau."""
     k = k_eval(coeffs, tau)
     if index == 0:
         return coeffs.w
@@ -192,9 +190,7 @@ def _offset_term(coeffs: FlowCoefficients, index: int, tau: float) -> Array:
         return -1.5 * coeffs.p * tau * coeffs.w / k
     if index == 3:
         return 0.5 * coeffs.p * tau * Mx / (k * k)
-    if index == 4:
-        return 0.5 * coeffs.p ** 2 * tau ** 2 * coeffs.w / (k * k)
-    raise ValueError(f"offset term index must be in 0..4, got {index}")
+    return 0.5 * coeffs.p ** 2 * tau ** 2 * coeffs.w / (k * k)
 
 
 def quadrature_inhomogeneous(
@@ -214,9 +210,8 @@ def quadrature_inhomogeneous(
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
-    n = coeffs.P.shape[0]
-    if lam == lam0 or coeffs.degenerate:
-        return np.zeros(n)
+    if coeffs.degenerate:
+        return np.zeros(coeffs.P.shape[0])
 
     k_at_lam = k_eval(coeffs, lam)
 

@@ -144,11 +144,12 @@ class TestArgumentErrors:
             (["bench"], "mc_runs = abc\n", None),
             (["bench"], "particles = 10\n", None),
             (["bench"], None, "abc"),
+            (["bench", "--config", "missing.cfg"], None, None),
             (["simulate", "--model", "coupled", "--dim", "0"], None, None),
             (["simulate", "--steps", "-1"], None, None),
         ],
         ids=["mc-runs-0", "dims-x", "dims-empty", "out-dir-empty", "config-value",
-             "config-key", "seed-env", "simulate-dim-0", "simulate-steps-negative"],
+             "config-key", "seed-env", "config-missing", "simulate-dim-0", "simulate-steps-negative"],
     )
     def test_bad_input_is_a_usage_error(self, argv, config, seed_env, tmp_path,
                                         monkeypatch, capsys):
@@ -161,6 +162,7 @@ class TestArgumentErrors:
             path = tmp_path / "bench.cfg"
             path.write_text(config, encoding="utf-8")
             argv = argv + ["--config", str(path)]
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("PFLOW_SEED", raising=False)
         if seed_env is not None:
             monkeypatch.setenv("PFLOW_SEED", seed_env)

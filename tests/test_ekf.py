@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model
@@ -85,10 +85,15 @@ class TestUpdate:
         n_z=st.integers(1, 3),
         log_ratio=st.floats(-8.0, 12.0),
     )
+    # cond S = 7.1e6: the covariances differ by 4.58e-12, 4.1 * 1e-12 ||P||.
+    @example(seed=615100337, n=3, n_z=3, log_ratio=6.0)
     def test_linear_update_matches_kalman_posterior(self, seed, n, n_z, log_ratio):
         # ||H P H^T|| / ||R|| = 10**log_ratio spans the decades where
         # P - W^T W cancels hardest. Exact symmetry holds because W^T W is
-        # exactly symmetric and P is.
+        # exactly symmetric and P is. Both covariances lose about eps cond(S)
+        # of ||P|| to rounding (the textbook one is no nearer an exact
+        # posterior), so the bound grows with cond(S) past 1e-12 / eps. Over
+        # 60,000 draws the largest gap was 0.18 of this bound.
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
         P = A @ A.T / n + 0.1 * np.eye(n)
@@ -105,7 +110,8 @@ class TestUpdate:
         ref = kalman_posterior(P, H, R, z, xbar)
         scale = np.linalg.norm(P, 2)
         C = out.covariance
-        np.testing.assert_allclose(C, ref.covariance, rtol=0, atol=1e-12 * scale)
+        rounding = max(1e-12, np.finfo(float).eps * np.linalg.cond(S))
+        np.testing.assert_allclose(C, ref.covariance, rtol=0, atol=rounding * scale)
         np.testing.assert_allclose(
             out.mean, ref.mean, rtol=0, atol=1e-9 * (np.sqrt(scale) + np.abs(xbar).max())
         )

@@ -18,9 +18,15 @@ from pflow.filters import (
     predict_particles,
     run_filter,
 )
-from pflow.flow_core import DEGENERATE_H_TOL, analytic_flow_map, build_coefficients
+from pflow.flow_core import (
+    DEGENERATE_H_TOL,
+    analytic_flow_map,
+    build_coefficients,
+    drift_matrix_A,
+    drift_vector_b,
+)
 from pflow.model import SystemModel, Trajectory, random_coupled_model, simulate, ungm_model
-from pflow.oracle import kalman_posterior, random_spd
+from pflow.oracle import kalman_posterior, random_spd, relative_deviation
 
 
 def scalar_unit_model(measurement_scale=1.0):
@@ -438,6 +444,67 @@ class TestMeasurementRowBelowTolerance:
         assert np.abs(H).max() == size
         assert np.array_equal(aedh_update(X, P, m, z, cfg), X)
         assert np.array_equal(naedh_update(X, P, m, z, cfg), X)
+
+    # The Euler drift divides only by k >= R, so EDH and LEDH take their
+    # step for such a row: a move of about max |H| * z / R per coordinate.
+    @pytest.mark.parametrize("size", [1e-13, 9e-13])
+    @pytest.mark.parametrize("update", [edh_update, ledh_update])
+    def test_euler_updates_take_their_step(self, update, size):
+        rng = np.random.default_rng(33)
+        n, steps = 3, 4
+        H = rng.standard_normal((1, n))
+        H = H / np.abs(H).max() * size
+        R = np.array([[0.1]])
+        m = linear_model(np.eye(n), np.eye(n), H, R)
+        X = rng.standard_normal((5, n))
+        P = random_spd(rng, n)
+        z = np.array([10.0])
+
+        expected = X
+        xbar0 = X.mean(axis=0)
+        grid = np.linspace(0.0, 1.0, steps + 1)
+        for lam0, lam in zip(grid[:-1], grid[1:]):
+            A = drift_matrix_A(P, H, R, lam)
+            b = drift_vector_b(P, H, R, z, xbar0, lam)
+            expected = expected + (expected @ A.T + b) * (lam - lam0)
+
+        cfg = FilterConfig(variant="EDH", particle_count=X.shape[0], lambda_steps=steps)
+        out = update(X, P, m, z, cfg)
+        rounding = 4.0 * steps * np.finfo(float).eps * np.abs(X).max()
+        assert np.abs(expected - X).min() > 100.0 * rounding
+        np.testing.assert_allclose(out, expected, rtol=0, atol=rounding)
+
+
+def random_linear_gaussian_run(seed, steps=20):
+    """A random stable linear-Gaussian model, n = 1 + seed % 8, and a trajectory of it."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 8
+    F = 0.95 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = linear_model(F, 0.2 * random_spd(rng, n), rng.standard_normal((1, n)), [[rng.uniform(0.2, 4.0)]])
+    return m, simulate(m, np.zeros(n), steps, rng)
+
+
+def estimates(model, trajectory, variant, lambda_steps=10, particles=20, seed=0):
+    cfg = FilterConfig(variant=variant, particle_count=particles, lambda_steps=lambda_steps)
+    return np.array([x for x, _ in run_filter(model, trajectory, cfg, np.random.default_rng(seed))])
+
+
+class TestWholeRunInvariants:
+    # Over whole runs, prediction, EKF coupling and estimate included, the
+    # flow filters that agree on a linear measurement agree to rounding:
+    # on this sweep the largest deviations are 2.9e-16 (EDH, LEDH) and
+    # 2.7e-16 (A-EDH, NA-EDH).
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edh_equals_ledh(self, seed):
+        m, traj = random_linear_gaussian_run(seed)
+        assert relative_deviation(estimates(m, traj, "LEDH"), estimates(m, traj, "EDH")) < 1e-12
+
+    @pytest.mark.parametrize("lambda_steps", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_aedh_equals_naedh(self, seed, lambda_steps):
+        m, traj = random_linear_gaussian_run(seed)
+        naedh = estimates(m, traj, "NA-EDH", lambda_steps)
+        assert relative_deviation(naedh, estimates(m, traj, "A-EDH")) < 1e-12
 
 
 class TestSampleCovarianceConvergence:

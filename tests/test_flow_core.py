@@ -314,8 +314,12 @@ class TestApplyFlow:
 
     def test_degenerate_flow_is_identity(self):
         c = build_coefficients(np.eye(2), [0.0, 0.0], 1.0, 3.0, np.zeros(2))
-        out = apply_flow_ensemble(c, np.array([[1.0, -2.0]]), 1.0, 0.0)
+        x0 = np.array([[1.0, -2.0]])
+        out = apply_flow_ensemble(c, x0, 1.0, 0.0)
         np.testing.assert_allclose(out[0], [1.0, -2.0])
+        # A zero Ph and w give the oracle a zero drift: the same identity.
+        for method in ("euler", "rk4"):
+            assert np.array_equal(integrate_flow_batch([c], x0, 0.0, 1.0, 100, method), x0)
 
     def test_matches_rk4_oracle(self, scalar_z2):
         numeric = integrate_flow_batch([scalar_z2], np.array([[1.0]]), 0.0, 1.0, 10_000, "rk4")
