@@ -33,7 +33,7 @@ class BenchConfig:
 
     Attributes:
         model: "ungm" (1-D) or "coupled" (random multidimensional).
-        dims: State dimensions to sweep (coupled only; ungm is 1-D).
+        dims: State dimensions to sweep; ungm sets (1,), its only dimension.
         particle_counts: Ensemble sizes to sweep.
         lambda_steps: Pseudo-time steps for EDH/LEDH/NA-EDH.
         mc_runs: Monte Carlo runs per configuration.
@@ -69,6 +69,8 @@ class BenchConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive integers")
+        if self.model == "ungm":
+            self.dims = (1,)
         if not self.particle_counts or any(c < 1 for c in self.particle_counts):
             raise ValueError("particle_counts must be a nonempty list of positive integers")
         if not self.filters:
@@ -188,16 +190,16 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
     execution. The initial belief mean is drawn from the unit-covariance
     initial belief so the measurement linearization has a nonzero
     anchor; with a quadratic measurement an exactly-zero mean would pin
-    the EKF to the origin forever. A run that diverges (a
-    FilterDivergenceError, a LinAlgError or a nonfinite RMSE) is flagged
-    in its record instead of aborting the sweep; any other exception is
-    a programming error and propagates. Fully deterministic (runtime
-    columns aside) for a fixed master seed.
+    the EKF to the origin forever. A run that fails (a
+    FilterDivergenceError naming its step, a LinAlgError, or finite
+    estimates whose squared errors overflow the RMSE) is booked once,
+    as failed with a NaN rmse, a zero runtime and the reason; any other
+    exception is a programming error and propagates. Fully
+    deterministic (runtime columns aside) for a fixed master seed.
     """
-    dims = config.dims if config.model == "coupled" else (1,)
     records: list[RunRecord] = []
 
-    for dim in dims:
+    for dim in config.dims:
         for particles in config.particle_counts:
             for run_index in range(config.mc_runs):
                 run_seed = derive_seed(config.master_seed, dim, particles, run_index)
@@ -217,40 +219,33 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
                         init_mean=init_mean,
                     )
                     filter_rng = np.random.default_rng(derive_seed(run_seed, 2))
-                    record = RunRecord(
-                        model=config.model,
-                        dim=model.n_x,
-                        filter=name,
-                        particles=particles,
-                        run_index=run_index,
-                        seed=run_seed,
-                        rmse=float("nan"),
-                        runtime_ms=0.0,
-                        n_lambda=config.lambda_steps,
-                        master_seed=config.master_seed,
-                    )
                     start = time.perf_counter()
-                    try:
-                        # Divergent systems overflow before they are flagged;
-                        # the flagged record carries the signal, not the warnings.
-                        with np.errstate(all="ignore"):
-                            results = run_filter(model, trajectory, filter_config, filter_rng)
-                    except (FilterDivergenceError, np.linalg.LinAlgError) as exc:
-                        record.failed = True
-                        record.error = str(exc)
-                        records.append(record)
-                        continue
-                    elapsed_ms = (time.perf_counter() - start) * 1e3
-                    estimates = np.stack([estimate for estimate, _ in results])
-                    error = rmse(trajectory.states, estimates)
-                    if not np.isfinite(error):
-                        record.failed = True
-                        record.error = "nonfinite RMSE (filter diverged)"
-                        records.append(record)
-                        continue
-                    record.rmse = error
-                    record.runtime_ms = 0.0 if config.no_timing else elapsed_ms
-                    records.append(record)
+                    # Divergent systems overflow before they are flagged;
+                    # the flagged record carries the signal, not the warnings.
+                    with np.errstate(all="ignore"):
+                        try:
+                            estimates = run_filter(model, trajectory, filter_config, filter_rng)
+                            elapsed_ms = (time.perf_counter() - start) * 1e3
+                            score = rmse(trajectory.states, estimates)
+                            error = "" if np.isfinite(score) else "nonfinite RMSE (filter diverged)"
+                        except (FilterDivergenceError, np.linalg.LinAlgError) as exc:
+                            error = str(exc)
+                    records.append(
+                        RunRecord(
+                            model=config.model,
+                            dim=model.n_x,
+                            filter=name,
+                            particles=particles,
+                            run_index=run_index,
+                            seed=run_seed,
+                            rmse=float("nan") if error else score,
+                            runtime_ms=0.0 if error or config.no_timing else elapsed_ms,
+                            n_lambda=config.lambda_steps,
+                            master_seed=config.master_seed,
+                            failed=bool(error),
+                            error=error,
+                        )
+                    )
     return records
 
 

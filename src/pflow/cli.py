@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out-dir", help="output directory (default bench_out)")
     bench.add_argument("--no-timing", action="store_true", default=None,
                        help="zero the runtime columns")
-    bench.add_argument("--strict", action="store_true", help="nonzero exit on any failed run")
+    bench.add_argument("--strict", action="store_true", help="exit code 1 on any failed run")
     bench.add_argument("--full-ledh", action="store_true", default=None,
                        help="run LEDH at every sweep point")
 
@@ -125,7 +125,7 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
             print(f"  {r.filter} dim={r.dim} N_p={r.particles} run={r.run_index}: {r.error}",
                   file=sys.stderr)
         if strict:
-            return 2
+            return 1
     return 0
 
 

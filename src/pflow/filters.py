@@ -50,10 +50,10 @@ FILTER_NAMES = ("EKF", "EDH", "LEDH", "A-EDH", "NA-EDH")
 
 
 class FilterDivergenceError(RuntimeError):
-    """Raised when a flow update produces nonfinite particles."""
+    """Raised at the first time step, kept as `step`, whose point estimate is nonfinite."""
 
     def __init__(self, step: int):
-        super().__init__(f"nonfinite particles at time step {step}")
+        super().__init__(f"nonfinite estimate at time step {step}")
         self.step = step
 
 
@@ -265,20 +265,21 @@ def run_filter(
     trajectory: Trajectory,
     config: FilterConfig,
     rng: np.random.Generator,
-) -> list[tuple[Array, GaussianBelief]]:
+) -> Array:
     """Run one estimator over a trajectory.
 
     Per time step: EKF prediction, particle prediction, flow update with
-    the EKF predicted covariance, point estimate (ensemble mean), EKF
-    measurement update.
+    the EKF predicted covariance, EKF measurement update, point estimate.
 
     Returns:
-        One (point estimate, posterior belief) pair per time step. For
-        the EKF the point estimate is the EKF posterior mean.
+        The (trajectory.steps, model.n_x) point estimates, one row per
+        time step: the ensemble mean for a flow filter, the EKF
+        posterior mean for the EKF.
 
     Raises:
-        FilterDivergenceError: If a flow update produces nonfinite
-            particles; carries the failing step index.
+        FilterDivergenceError: At the first time step whose estimate is
+            nonfinite; carries that step index. A nonfinite particle
+            always makes the ensemble mean nonfinite.
         ValueError: For A-EDH and NA-EDH, before the first step, if R is
             not positive or the initial covariance is not SPD.
     """
@@ -298,16 +299,16 @@ def run_filter(
         update = _UPDATES[config.variant]
         chol_q = _cholesky_or_zero(model.Q)
 
-    results: list[tuple[Array, GaussianBelief]] = []
+    estimates = np.empty((trajectory.steps, n))
     for k in range(1, trajectory.steps + 1):
         predicted = ekf_predict(belief, model, k)
         z = trajectory.measurements[k - 1]
         if particles is not None:
             particles = predict_particles(particles, model, k, rng, chol_q)
             particles = update(particles, predicted.covariance, model, z, config)
-            if not np.all(np.isfinite(particles)):
-                raise FilterDivergenceError(step=k)
         belief = ekf_update(predicted, model, z)
-        estimate = belief.mean.copy() if particles is None else _ensemble_mean(particles)
-        results.append((estimate, belief))
-    return results
+        estimate = belief.mean if particles is None else _ensemble_mean(particles)
+        if not np.isfinite(estimate).all():
+            raise FilterDivergenceError(step=k)
+        estimates[k - 1] = estimate
+    return estimates

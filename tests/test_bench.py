@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ElementTree
 import numpy as np
 import pytest
 
+from conftest import linear_model
 from pflow.bench import (
     BenchConfig,
     CSV_HEADER,
@@ -20,7 +21,8 @@ from pflow.bench import (
     rmse,
     run_benchmark,
 )
-from pflow.model import ungm_model
+from pflow.filters import FILTER_NAMES
+from pflow.model import Trajectory, ungm_model
 
 
 def record(filter_name, particles, rmse_value, runtime, run_index=0, **kw):
@@ -338,6 +340,46 @@ class TestRunBenchmark:
             if r.filter == "EKF"
         ]
         assert alone == paired
+
+    def test_divergent_runs_are_booked_with_their_step(self, monkeypatch):
+        # Every filter, the EKF included, fails at the first step whose
+        # estimate is nonfinite and books that step.
+        def exploding_ungm():
+            return dataclasses.replace(ungm_model(), transition=lambda x, k: x * 1e200)
+
+        monkeypatch.setattr("pflow.bench.ungm_model", exploding_ungm)
+        config = BenchConfig(
+            model="ungm", particle_counts=(5,), mc_runs=1, trajectory_steps=3,
+            lambda_steps=2, master_seed=3,
+        )
+        with np.errstate(all="ignore"):  # simulate runs outside the sweep's errstate
+            records = run_benchmark(config)
+        assert [r.filter for r in records] == list(FILTER_NAMES)
+        for r in records:
+            assert r.failed and np.isnan(r.rmse) and r.runtime_ms == 0.0, r
+            assert "time step 1" in r.error, r
+
+    def test_overflowing_rmse_is_a_failed_run(self, monkeypatch):
+        # Finite estimates of 1e200 against zero states overflow the
+        # squared error, not the estimates.
+        monkeypatch.setattr(
+            "pflow.bench.ungm_model", lambda: linear_model([[0.9]], [[1.0]], [[1.0]], [[1.0]])
+        )
+        monkeypatch.setattr(
+            "pflow.bench.simulate",
+            lambda model, x0, steps, rng: Trajectory(
+                states=np.zeros((steps, 1)), measurements=np.full((steps, 1), 1e200), steps=steps
+            ),
+        )
+        config = BenchConfig(
+            model="ungm", particle_counts=(5,), mc_runs=1, trajectory_steps=3,
+            lambda_steps=2, master_seed=3,
+        )
+        records = run_benchmark(config)  # no errstate: the sweep must contain the overflow
+        assert len(records) == len(FILTER_NAMES)
+        for r in records:
+            assert r.failed and np.isnan(r.rmse) and r.runtime_ms == 0.0, r
+            assert r.error.startswith("nonfinite RMSE"), r
 
     def test_programming_error_propagates(self, monkeypatch):
         # A measurement that returns two values for one state of an n_z = 1

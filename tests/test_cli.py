@@ -4,10 +4,12 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pflow.bench import BenchConfig
 from pflow.cli import _build_parser, main
+from pflow.model import ungm_model
 
 
 class TestSimulate:
@@ -73,6 +75,7 @@ class TestBench:
             assert (tmp_path / name).exists(), name
         metadata = json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8"))
         assert metadata["config"]["master_seed"] == 21
+        assert metadata["config"]["dims"] == [1]  # UNGM's only dimension
         assert metadata["notes"]["common_random_numbers_across_filters"] is True
         assert "table rows" in capsys.readouterr().out
 
@@ -99,6 +102,24 @@ class TestBench:
         assert exc.value.code == 2
         assert "must include EKF" in capsys.readouterr().err
         assert not out.exists()  # rejected before any run
+
+    def test_failed_runs_are_reported_and_strict_exits_1(self, tmp_path, monkeypatch, capsys):
+        # The second run index explodes; the first keeps every group's
+        # EKF baseline.
+        def sweep(extra=()):
+            exploding = dataclasses.replace(ungm_model(), transition=lambda x, k: x * 1e200)
+            models = iter([ungm_model(), exploding])
+            monkeypatch.setattr("pflow.bench.ungm_model", lambda: next(models))
+            with np.errstate(all="ignore"):  # simulate runs outside the sweep's errstate
+                return main(self._args(tmp_path, extra))
+
+        assert sweep() == 0
+        err = capsys.readouterr().err
+        assert "3 run(s) failed" in err
+        assert "EKF dim=1 N_p=8 run=1: nonfinite estimate at time step 1" in err
+        metadata = json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8"))
+        assert metadata["failed_runs"] == 3
+        assert sweep(("--strict",)) == 1
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

@@ -1,5 +1,7 @@
 """Tests for the particle-flow filter pipelines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,20 +233,31 @@ class TestLedhUpdate:
         assert np.array_equal(out, ledh_update(ens, np.array([[2.0]]), base, np.array([0.3]), cfg))
 
     def test_general_measurement_path_matches_scalar_path(self):
-        # The rank-one fast path and the generic drift computation agree.
-        base = ungm_model()
-        two_z = SystemModel(
-            n_x=1, n_z=2,
-            transition=base.transition,
-            measurement=lambda x: np.repeat(x ** 2 / 20.0, 2, axis=-1),
-            transition_jacobian=base.transition_jacobian,
-            measurement_jacobian=lambda x: np.array([[x[0] / 10.0], [x[0] / 10.0]]),
-            Q=base.Q, R=np.eye(2),
-        )
-        ens = ensemble([1.5], [0.5])
-        cfg = FilterConfig(variant="LEDH", particle_count=2, lambda_steps=4)
-        out = ledh_update(ens, np.array([[1.0]]), two_z, np.array([0.2, 0.2]), cfg)
-        assert np.all(np.isfinite(out))
+        # Two identical rows with R = I carry the information of one row
+        # with r = 1/2, so the generic drift must reproduce the one-row
+        # model's result.
+        assert_duplicated_row_matches_halved_r("LEDH", ledh_update)
+
+    def test_edh_general_measurement_path_matches_scalar_path(self):
+        assert_duplicated_row_matches_halved_r("EDH", edh_update)
+
+
+def assert_duplicated_row_matches_halved_r(variant, update):
+    base = ungm_model()
+    two_z = SystemModel(
+        n_x=1, n_z=2,
+        transition=base.transition,
+        measurement=lambda x: np.repeat(x ** 2 / 20.0, 2, axis=-1),
+        transition_jacobian=base.transition_jacobian,
+        measurement_jacobian=lambda x: np.array([[x[0] / 10.0], [x[0] / 10.0]]),
+        Q=base.Q, R=np.eye(2),
+    )
+    one_z = dataclasses.replace(base, R=np.array([[0.5]]))
+    ens = ensemble([1.5], [0.5])
+    cfg = FilterConfig(variant=variant, particle_count=2, lambda_steps=4)
+    out = update(ens, np.array([[1.0]]), two_z, np.array([0.2, 0.2]), cfg)
+    expected = update(ens, np.array([[1.0]]), one_z, np.array([0.2]), cfg)
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 class TestAedhUpdate:
@@ -486,7 +499,7 @@ def random_linear_gaussian_run(seed, steps=20):
 
 def estimates(model, trajectory, variant, lambda_steps=10, particles=20, seed=0):
     cfg = FilterConfig(variant=variant, particle_count=particles, lambda_steps=lambda_steps)
-    return np.array([x for x, _ in run_filter(model, trajectory, cfg, np.random.default_rng(seed))])
+    return run_filter(model, trajectory, cfg, np.random.default_rng(seed))
 
 
 class TestWholeRunInvariants:
@@ -533,13 +546,13 @@ class TestRunFilter:
         m = ungm_model()
         traj = simulate(m, np.zeros(1), 12, np.random.default_rng(0))
         cfg = FilterConfig(variant="EKF")
-        results = run_filter(m, traj, cfg, np.random.default_rng(1))
+        estimates = run_filter(m, traj, cfg, np.random.default_rng(1))
+        assert estimates.shape == (traj.steps, m.n_x)
 
         belief = GaussianBelief(np.zeros(1), np.eye(1))
-        for k, (estimate, posterior) in enumerate(results, start=1):
+        for k, estimate in enumerate(estimates, start=1):
             belief = ekf_update(ekf_predict(belief, m, k), m, traj.measurements[k - 1])
             np.testing.assert_allclose(estimate, belief.mean, rtol=1e-12)
-            np.testing.assert_allclose(posterior.mean, belief.mean, rtol=1e-12)
 
     def test_single_particle_at_prior_mean_tracks_kalman(self):
         # A lone particle pinned to the predicted mean reproduces the
@@ -564,8 +577,7 @@ class TestRunFilter:
         cfg = FilterConfig(variant=variant, particle_count=20, lambda_steps=5)
         first = run_filter(m, traj, cfg, np.random.default_rng(11))
         second = run_filter(m, traj, cfg, np.random.default_rng(11))
-        for (a, _), (b, _) in zip(first, second):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first, second)
 
     def test_uninformative_measurements_leave_ensemble_alone(self):
         m = zero_measurement_model()
@@ -573,16 +585,14 @@ class TestRunFilter:
         for variant in ("EDH", "LEDH", "A-EDH", "NA-EDH"):
             cfg = FilterConfig(variant=variant, particle_count=15, lambda_steps=4)
             rng = np.random.default_rng(6)
-            results = run_filter(m, traj, cfg, rng)
+            estimates = run_filter(m, traj, cfg, rng)
 
             # Replay prediction only: the flow must add nothing.
             rng2 = np.random.default_rng(6)
             particles = rng2.standard_normal((15, 2))
             for k in range(1, 4):
                 particles = predict_particles(particles, m, k, rng2, np.linalg.cholesky(m.Q))
-                np.testing.assert_allclose(
-                    results[k - 1][0], particles.mean(axis=0), rtol=1e-12
-                )
+                np.testing.assert_allclose(estimates[k - 1], particles.mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("variant", ["A-EDH", "NA-EDH"])
     @pytest.mark.parametrize("r", [0.0, -1.0])
@@ -630,8 +640,8 @@ class TestRunFilter:
         cfg = FilterConfig(
             variant="EKF", init_mean=np.array([2.0]), init_cov=np.array([[4.0]])
         )
-        results = run_filter(m, traj, cfg, np.random.default_rng(31))
+        estimates = run_filter(m, traj, cfg, np.random.default_rng(31))
 
         belief = GaussianBelief(np.array([2.0]), np.array([[4.0]]))
         belief = ekf_update(ekf_predict(belief, m, 1), m, traj.measurements[0])
-        np.testing.assert_allclose(results[0][0], belief.mean, rtol=1e-12)
+        np.testing.assert_allclose(estimates[0], belief.mean, rtol=1e-12)

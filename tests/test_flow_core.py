@@ -238,6 +238,16 @@ class TestPsiTerms:
 
 
 class TestInhomogeneousSum:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_equals_sum_of_psi_terms(self, seed):
+        # Ties the five terms criterion 3 certifies against quadrature to
+        # the summed form the filters apply.
+        rng = np.random.default_rng(1500 + seed)
+        c = random_flow_instance(rng, int(rng.integers(1, 14)))
+        lam0, lam = random_interval(rng)
+        terms = sum(psi_term(c, index, lam, lam0) for index in range(5))
+        assert relative_deviation(inhomogeneous_sum(c, lam, lam0), terms) < 1e-12
+
     def test_scalar_posterior_mean(self, scalar_z2):
         np.testing.assert_allclose(inhomogeneous_sum(scalar_z2, 1.0, 0.0), [1.0], atol=1e-5)
 
@@ -320,6 +330,9 @@ class TestApplyFlow:
         # A zero Ph and w give the oracle a zero drift: the same identity.
         for method in ("euler", "rk4"):
             assert np.array_equal(integrate_flow_batch([c], x0, 0.0, 1.0, 100, method), x0)
+        for index in range(5):
+            assert np.array_equal(psi_term(c, index, 1.0, 0.0), np.zeros(2))
+            assert np.array_equal(quadrature_inhomogeneous(c, index, 1.0, 0.0), np.zeros(2))
 
     def test_matches_rk4_oracle(self, scalar_z2):
         numeric = integrate_flow_batch([scalar_z2], np.array([[1.0]]), 0.0, 1.0, 10_000, "rk4")
