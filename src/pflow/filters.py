@@ -19,11 +19,15 @@ z - h(x_L) + H x_L, the measurement the linearized model would have
 produced (for linear h this is z itself). Particles carry no weights
 and are never resampled.
 
+EDH and LEDH share flow_core's one Euler drift for every measurement
+dimension. LEDH forms H and P H^T particle by particle, then evaluates h
+and the drift once over the stack of per-particle linearizations.
+
 A measurement row with max |H| < DEGENERATE_H_TOL (1e-12) carries no
 information. A-EDH and NA-EDH map it to the identity, because their
 closed form divides by H P H^T; flow_core._map_scalars decides this.
 EDH and LEDH apply their Euler drift for every row: it divides only by
-k = lambda H P H^T + R >= R, and it is zero for H = 0.
+S, which R bounds below, and it is zero for H = 0.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from .ekf import GaussianBelief, ekf_predict, ekf_update
 from .flow_core import (
     _assemble_coefficients,
-    _drift_offset_scale,
+    _euler_drift,
     apply_flow_ensemble,
     drift_matrix_A,
     drift_vector_b,
@@ -99,13 +103,13 @@ def _ensemble_mean(particles: Array) -> Array:
     return particles.sum(axis=0) / particles.shape[0]
 
 
-def _linearized_measurement(z: Array, h_lin: Array, H: Array, x_lin: Array) -> Array:
-    """Pseudo-measurement of the model linearized at x_lin, given h_lin = h(x_lin).
+def _linearized_measurement(z: Array, h_lin: Array, Hx_lin: Array) -> Array:
+    """Pseudo-measurement of the model linearized at x_lin, given h(x_lin) and H x_lin.
 
     z - h(x_lin) + H x_lin; reduces to z when h is linear through the
     origin.
     """
-    return z - h_lin + H @ x_lin
+    return z - h_lin + Hx_lin
 
 
 def predict_particles(
@@ -145,7 +149,7 @@ def edh_update(
     for lam0, lam in zip(grid, grid[1:]):
         xbar_j = _ensemble_mean(X)
         H = np.atleast_2d(model.measurement_jacobian(xbar_j))
-        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H, xbar_j)
+        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H @ xbar_j)
         A = drift_matrix_A(P_pred, H, model.R, lam)
         b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
         X = X + (X @ A.T + b) * (lam - lam0)
@@ -163,37 +167,23 @@ def ledh_update(
 
     Identical to edh_update except that the measurement function is
     linearized at each particle's current position, so every particle
-    sees its own drift. The measurement function is evaluated at all
-    particles in one stacked call per pseudo-time step.
+    sees its own drift. The Jacobian and P H^T are formed particle by
+    particle; h and the drift are evaluated once over the stack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = _lambda_points(config.lambda_steps)
     X = particles
     xbar0 = _ensemble_mean(X)
-    scalar_measurement = model.n_z == 1
-    r = float(model.R[0, 0]) if scalar_measurement else None
+    H = np.empty((X.shape[0], model.n_z, model.n_x))
+    PHt = np.empty((X.shape[0], model.n_x, model.n_z))
 
     for lam0, lam in zip(grid, grid[1:]):
-        moves = np.zeros_like(X)
-        hX = model.measurement(X)
-        for i in range(X.shape[0]):
-            x = X[i]
-            H = np.atleast_2d(model.measurement_jacobian(x))
-            z_lin = _linearized_measurement(z, hX[i], H, x)
-            if scalar_measurement:
-                # Rank-one drift in its cancellation-free form, without
-                # materializing the matrix.
-                h = H[0]
-                Ph = P_pred @ h
-                p = float(h @ Ph)
-                k = lam * p + r
-                b_scale = _drift_offset_scale(float(z_lin[0]), float(h @ xbar0), p, r, lam)
-                moves[i] = (b_scale - 0.5 * float(h @ x) / k) * Ph
-            else:
-                A = drift_matrix_A(P_pred, H, model.R, lam)
-                b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
-                moves[i] = A @ x + b
-        X = X + moves * (lam - lam0)
+        for i, x in enumerate(X):
+            H[i] = model.measurement_jacobian(x)
+            PHt[i] = P_pred @ H[i].T
+        Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
+        z_lin = _linearized_measurement(z, model.measurement(X), Hx)
+        X = X + _euler_drift(PHt, H, model.R, z_lin, xbar0, lam, Hx) * (lam - lam0)
     return X
 
 
@@ -209,7 +199,7 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
     for lam0, lam in zip(grid, grid[1:]):
         x_lin = _ensemble_mean(X) if lam0 > 0.0 else xbar0
         H = np.asarray(model.measurement_jacobian(x_lin), dtype=float).reshape(-1)
-        z_lin = _linearized_measurement(z, model.measurement(x_lin)[0], H, x_lin)
+        z_lin = _linearized_measurement(z, model.measurement(x_lin)[0], H @ x_lin)
         coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin), xbar0)
         X = apply_flow_ensemble(coeffs, X, lam, lam0)
     return X
@@ -280,21 +270,18 @@ def run_filter(
         FilterDivergenceError: At the first time step whose estimate is
             nonfinite; carries that step index. A nonfinite particle
             always makes the ensemble mean nonfinite.
-        ValueError: For A-EDH and NA-EDH, before the first step, if R is
-            not positive or the initial covariance is not SPD.
+        ValueError: Before the first step, if R or the initial covariance
+            is not symmetric positive definite.
     """
     n = model.n_x
     mean0 = np.zeros(n) if config.init_mean is None else np.asarray(config.init_mean, dtype=float)
     cov0 = np.eye(n) if config.init_cov is None else np.asarray(config.init_cov, dtype=float)
     belief = GaussianBelief(mean0, cov0)
 
+    # The EKF keeps P SPD from an SPD start, so only the run's inputs are checked.
+    chol0 = validate_flow_inputs(cov0, model.R)
     particles = None
     if config.variant != "EKF":
-        if config.variant in ("A-EDH", "NA-EDH"):
-            # The closed-form map needs r > 0 and an SPD P. The EKF keeps P
-            # SPD from an SPD start, so only the run's inputs are checked.
-            validate_flow_inputs(cov0, model.R)
-        chol0 = np.linalg.cholesky(cov0)
         particles = mean0 + rng.standard_normal((config.particle_count, n)) @ chol0.T
         update = _UPDATES[config.variant]
         chol_q = _cholesky_or_zero(model.Q)

@@ -3,7 +3,10 @@
 The Bayesian update is posed as moving particles along the homotopy
 parameter lambda in [0,1] under the linear drift
 
-    dx/dlambda = A(lambda) x + b(lambda).
+    dx/dlambda = A(lambda) x + b(lambda),
+
+with A = -1/2 P H^T S^-1 H and S = lambda H P H^T + R. The Euler filters
+evaluate it for any measurement dimension in one form, `_euler_drift`.
 
 For a scalar measurement the drift matrix is rank one and the flow ODE
 has a closed-form solution: a state-transition factor Phi(lambda,
@@ -80,17 +83,18 @@ def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) 
     return FlowCoefficients(P, H, r, z, xbar, Ph, float(H @ Ph), False)
 
 
-def validate_flow_inputs(P: Array, R: float) -> None:
-    """Reject a non-SPD covariance or nonpositive noise variance.
+def validate_flow_inputs(P: Array, R: Array) -> Array:
+    """The lower Cholesky factor of P, after checking that R and P are SPD.
 
     Raises:
-        ValueError: If R <= 0 or P is not SPD (Cholesky fails).
+        ValueError: If R (a variance or an n_z x n_z matrix) or P is not
+            symmetric positive definite.
     """
-    r = float(np.asarray(R).reshape(-1)[0])
-    if r <= 0.0:
-        raise ValueError(f"measurement noise variance must be positive, got {r}")
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    if not (np.array_equal(R, R.T) and np.linalg.eigvalsh(R).min() > 0.0):
+        raise ValueError(f"measurement noise variance must be positive (R SPD), got R = {R.tolist()}")
     try:
-        np.linalg.cholesky(np.asarray(P, dtype=float))
+        return np.linalg.cholesky(np.asarray(P, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ValueError("P is not symmetric positive definite") from exc
 
@@ -130,6 +134,13 @@ def _check_interval(lam: float, lam0: float) -> None:
         )
 
 
+def _solve_S(S: Array, B: Array) -> Array:
+    """S^-1 B for one S or a stack; a 1x1 S divides (np.linalg.solve costs ~10 us)."""
+    if S.shape[-1] == 1:
+        return B / S
+    return np.linalg.solve(S, B)
+
+
 def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
     """Flow drift matrix -1/2 P H^T (lambda H P H^T + R)^-1 H.
 
@@ -141,44 +152,36 @@ def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
     R = np.atleast_2d(np.asarray(R, dtype=float))
     PHt = P @ H.T
     S = lam * (H @ PHt) + R
-    return -0.5 * PHt @ np.linalg.solve(S, H)
+    return -0.5 * PHt @ _solve_S(S, H)
 
 
-def _drift_offset_scale(z: float, h_xbar: float, p: float, r: float, lam: float) -> float:
-    """Scalar-measurement drift offset as a multiple of P H^T.
+def _euler_drift(PHt: Array, H: Array, R: Array, z: Array, xbar: Array, lam: float, Hx: Array | float) -> Array:
+    """The flow drift A x + b = 1/2 P H^T S^-1 (z + R S^-1 (z - H xbar) - H x).
 
-    (z (lam p + 2r) - r H xbar) / (2 k(lam)^2) with p = H P H^T and
-    k = lam p + r.
+    The offset b = (I + 2 lambda A)((I + lambda A) P H^T R^-1 z + A xbar)
+    rearranged: as written, that product cancels terms growing like
+    H P H^T / R (off by ~1e-2 at 1e12); this form loses a few eps cond(S).
+    PHt is (..., n_x, n_z), H (..., n_z, n_x), z and Hx = H x (..., n_z);
+    Hx = 0 gives b alone.
     """
-    k = lam * p + r
-    return (z * (lam * p + 2.0 * r) - r * h_xbar) / (2.0 * k * k)
+    S = lam * (H @ PHt) + R
+    innovation = (z - H @ xbar)[..., np.newaxis]
+    v = (z - Hx)[..., np.newaxis] + R @ _solve_S(S, innovation)
+    return 0.5 * (PHt @ _solve_S(S, v))[..., 0]
 
 
 def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: float) -> Array:
     """Flow drift offset (I + 2 lambda A)((I + lambda A) P H^T R^-1 z + A xbar).
 
-    For scalar measurements the product collapses to the cancellation-free
-    form P H^T (z (lam p + 2r) - r H xbar) / (2 k(lam)^2) with
-    p = H P H^T and k = lam p + r; the general measurement path evaluates
-    the nested product directly.
+    Evaluated in the cancellation-free form 1/2 P H^T S^-1 (z + R S^-1 (z - H xbar))
+    with S = lambda H P H^T + R, for every measurement dimension.
     """
     P = np.asarray(P, dtype=float)
     H = np.atleast_2d(np.asarray(H, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-
-    if H.shape[0] == 1:
-        h = H[0]
-        r = float(R[0, 0])
-        Ph = P @ h
-        p = float(h @ Ph)
-        return Ph * _drift_offset_scale(float(z[0]), float(h @ xbar), p, r, lam)
-
-    A = drift_matrix_A(P, H, R, lam)
-    v = P @ H.T @ np.linalg.solve(R, z)
-    inner = v + lam * (A @ v) + A @ xbar
-    return inner + 2.0 * lam * (A @ inner)
+    return _euler_drift(P @ H.T, H, R, z, xbar, lam, 0.0)
 
 
 def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:

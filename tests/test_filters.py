@@ -488,12 +488,13 @@ class TestMeasurementRowBelowTolerance:
         np.testing.assert_allclose(out, expected, rtol=0, atol=rounding)
 
 
-def random_linear_gaussian_run(seed, steps=20):
+def random_linear_gaussian_run(seed, steps=20, n_z=1):
     """A random stable linear-Gaussian model, n = 1 + seed % 8, and a trajectory of it."""
     rng = np.random.default_rng(seed)
     n = 1 + seed % 8
     F = 0.95 * np.linalg.qr(rng.standard_normal((n, n)))[0]
-    m = linear_model(F, 0.2 * random_spd(rng, n), rng.standard_normal((1, n)), [[rng.uniform(0.2, 4.0)]])
+    Q = 0.2 * random_spd(rng, n)
+    m = linear_model(F, Q, rng.standard_normal((n_z, n)), np.diag(rng.uniform(0.2, 4.0, n_z)))
     return m, simulate(m, np.zeros(n), steps, rng)
 
 
@@ -505,12 +506,14 @@ def estimates(model, trajectory, variant, lambda_steps=10, particles=20, seed=0)
 class TestWholeRunInvariants:
     # Over whole runs, prediction, EKF coupling and estimate included, the
     # flow filters that agree on a linear measurement agree to rounding:
-    # on this sweep the largest deviations are 2.9e-16 (EDH, LEDH) and
-    # 2.7e-16 (A-EDH, NA-EDH).
+    # on this sweep the largest deviations are 1.8e-16 (EDH, LEDH; one
+    # measurement row), 1.7e-16 (EDH, LEDH; two rows) and 2.7e-16 (A-EDH,
+    # NA-EDH).
     @pytest.mark.parametrize("seed", range(8))
     def test_edh_equals_ledh(self, seed):
-        m, traj = random_linear_gaussian_run(seed)
-        assert relative_deviation(estimates(m, traj, "LEDH"), estimates(m, traj, "EDH")) < 1e-12
+        for n_z in (1, 2):
+            m, traj = random_linear_gaussian_run(seed, n_z=n_z)
+            assert relative_deviation(estimates(m, traj, "LEDH"), estimates(m, traj, "EDH")) < 1e-12
 
     @pytest.mark.parametrize("lambda_steps", [1, 3, 10])
     @pytest.mark.parametrize("seed", range(8))
@@ -518,6 +521,16 @@ class TestWholeRunInvariants:
         m, traj = random_linear_gaussian_run(seed)
         naedh = estimates(m, traj, "NA-EDH", lambda_steps)
         assert relative_deviation(naedh, estimates(m, traj, "A-EDH")) < 1e-12
+
+    # Euler is first order in the pseudo-time step, and with prediction
+    # noise and EKF shared, the whole-run gap to the closed form shrinks
+    # with it: each tenfold lambda_steps cut the gap 8.3-10.0x here.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edh_approaches_aedh_at_first_order(self, seed):
+        m, traj = random_linear_gaussian_run(seed)
+        exact = estimates(m, traj, "A-EDH")
+        gaps = [np.abs(estimates(m, traj, "EDH", steps) - exact).max() for steps in (10, 100, 1000)]
+        assert gaps[0] > 5.0 * gaps[1] > 25.0 * gaps[2]
 
 
 class TestSampleCovarianceConvergence:
@@ -594,7 +607,7 @@ class TestRunFilter:
                 particles = predict_particles(particles, m, k, rng2, np.linalg.cholesky(m.Q))
                 np.testing.assert_allclose(estimates[k - 1], particles.mean(axis=0), rtol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["A-EDH", "NA-EDH"])
+    @pytest.mark.parametrize("variant", ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"])
     @pytest.mark.parametrize("r", [0.0, -1.0])
     def test_nonpositive_noise_rejected_before_first_step(self, variant, r):
         base = ungm_model()
