@@ -455,10 +455,19 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_field(default, value):
-    """Convert one config value to the type of the field's default."""
+    """Convert one config value to the type of the field's default.
+
+    A boolean is one of true/false, 1/0, yes/no in any letter case.
+    """
     if isinstance(default, bool):
-        return value in (True, "true", "True", "1", "yes")
+        try:
+            return _BOOLEANS[str(value).lower()]
+        except KeyError:
+            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}") from None
     if isinstance(default, tuple):
         if isinstance(value, str):
             value = [v.strip() for v in value.split(",") if v.strip()]

@@ -20,7 +20,9 @@ produced (for linear h this is z itself). Particles carry no weights
 and are never resampled.
 
 EDH and LEDH share flow_core's one Euler drift for every measurement
-dimension. LEDH forms H and P H^T particle by particle, then evaluates h
+dimension. EDH forms P H^T and S = lambda H P H^T + R once per
+pseudo-time step and builds both the drift matrix A and the offset b
+from them. LEDH forms H and P H^T particle by particle, then evaluates h
 and the drift once over the stack of per-particle linearizations.
 
 A measurement row with max |H| < DEGENERATE_H_TOL (1e-12) carries no
@@ -40,8 +42,13 @@ import numpy as np
 from .ekf import GaussianBelief, ekf_predict, ekf_update
 from .flow_core import (
     _assemble_coefficients,
+    _drift_matrix,
+    _drift_S,
     _euler_drift,
     apply_flow_ensemble,
+    # Not called here: edh_update builds A and b from the helpers above.
+    # The benchmark's tracer (perfbench/spans.py) wraps both names in this
+    # module, so they must stay bound here.
     drift_matrix_A,
     drift_vector_b,
     validate_flow_inputs,
@@ -138,8 +145,11 @@ def edh_update(
     """Euler integration of the flow ODE with per-step relinearization.
 
     Each pseudo-time step relinearizes the measurement function at the
-    current ensemble mean, rebuilds the drift, and moves every particle
-    by one explicit Euler step.
+    current ensemble mean (the flow's start mean at lambda = 0), forms
+    P H^T and S = lambda H P H^T + R once, builds the drift matrix A and
+    offset b from them, and moves every particle by one explicit Euler
+    step X + (X A^T + b) dlambda. The results are those of
+    `drift_matrix_A` and `drift_vector_b`, bit for bit.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = _lambda_points(config.lambda_steps)
@@ -147,11 +157,13 @@ def edh_update(
     xbar0 = _ensemble_mean(X)
 
     for lam0, lam in zip(grid, grid[1:]):
-        xbar_j = _ensemble_mean(X)
-        H = np.atleast_2d(model.measurement_jacobian(xbar_j))
-        z_lin = _linearized_measurement(z, model.measurement(xbar_j), H @ xbar_j)
-        A = drift_matrix_A(P_pred, H, model.R, lam)
-        b = drift_vector_b(P_pred, H, model.R, z_lin, xbar0, lam)
+        x_lin = _ensemble_mean(X) if lam0 > 0.0 else xbar0
+        H = np.atleast_2d(model.measurement_jacobian(x_lin))
+        z_lin = _linearized_measurement(z, model.measurement(x_lin), H @ x_lin)
+        PHt = P_pred @ H.T
+        S = _drift_S(PHt, H, model.R, lam)
+        A = _drift_matrix(PHt, S, H)
+        b = _euler_drift(PHt, S, H, model.R, z_lin, xbar0, 0.0)
         X = X + (X @ A.T + b) * (lam - lam0)
     return X
 
@@ -183,7 +195,8 @@ def ledh_update(
             PHt[i] = P_pred @ H[i].T
         Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
         z_lin = _linearized_measurement(z, model.measurement(X), Hx)
-        X = X + _euler_drift(PHt, H, model.R, z_lin, xbar0, lam, Hx) * (lam - lam0)
+        S = _drift_S(PHt, H, model.R, lam)
+        X = X + _euler_drift(PHt, S, H, model.R, z_lin, xbar0, Hx) * (lam - lam0)
     return X
 
 

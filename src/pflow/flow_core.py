@@ -6,7 +6,8 @@ parameter lambda in [0,1] under the linear drift
     dx/dlambda = A(lambda) x + b(lambda),
 
 with A = -1/2 P H^T S^-1 H and S = lambda H P H^T + R. The Euler filters
-evaluate it for any measurement dimension in one form, `_euler_drift`.
+evaluate it for any measurement dimension from P H^T and S formed once
+per pseudo-time step: `_drift_S`, `_drift_matrix` and `_euler_drift`.
 
 For a scalar measurement the drift matrix is rank one and the flow ODE
 has a closed-form solution: a state-transition factor Phi(lambda,
@@ -141,6 +142,16 @@ def _solve_S(S: Array, B: Array) -> Array:
     return np.linalg.solve(S, B)
 
 
+def _drift_S(PHt: Array, H: Array, R: Array, lam: float) -> Array:
+    """S = lambda H P H^T + R, the matrix every drift term solves against."""
+    return lam * (H @ PHt) + R
+
+
+def _drift_matrix(PHt: Array, S: Array, H: Array) -> Array:
+    """A = -1/2 P H^T S^-1 H from P H^T and S."""
+    return -0.5 * PHt @ _solve_S(S, H)
+
+
 def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
     """Flow drift matrix -1/2 P H^T (lambda H P H^T + R)^-1 H.
 
@@ -151,20 +162,18 @@ def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
     H = np.atleast_2d(np.asarray(H, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     PHt = P @ H.T
-    S = lam * (H @ PHt) + R
-    return -0.5 * PHt @ _solve_S(S, H)
+    return _drift_matrix(PHt, _drift_S(PHt, H, R, lam), H)
 
 
-def _euler_drift(PHt: Array, H: Array, R: Array, z: Array, xbar: Array, lam: float, Hx: Array | float) -> Array:
+def _euler_drift(PHt: Array, S: Array, H: Array, R: Array, z: Array, xbar: Array, Hx: Array | float) -> Array:
     """The flow drift A x + b = 1/2 P H^T S^-1 (z + R S^-1 (z - H xbar) - H x).
 
     The offset b = (I + 2 lambda A)((I + lambda A) P H^T R^-1 z + A xbar)
     rearranged: as written, that product cancels terms growing like
     H P H^T / R (off by ~1e-2 at 1e12); this form loses a few eps cond(S).
-    PHt is (..., n_x, n_z), H (..., n_z, n_x), z and Hx = H x (..., n_z);
-    Hx = 0 gives b alone.
+    PHt is (..., n_x, n_z), H (..., n_z, n_x), S = `_drift_S` (..., n_z, n_z),
+    z and Hx = H x (..., n_z); Hx = 0 gives b alone.
     """
-    S = lam * (H @ PHt) + R
     innovation = (z - H @ xbar)[..., np.newaxis]
     v = (z - Hx)[..., np.newaxis] + R @ _solve_S(S, innovation)
     return 0.5 * (PHt @ _solve_S(S, v))[..., 0]
@@ -181,7 +190,8 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
     R = np.atleast_2d(np.asarray(R, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    return _euler_drift(P @ H.T, H, R, z, xbar, lam, 0.0)
+    PHt = P @ H.T
+    return _euler_drift(PHt, _drift_S(PHt, H, R, lam), H, R, z, xbar, 0.0)
 
 
 def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:

@@ -234,6 +234,18 @@ class TestBenchConfig:
         assert config.filters == ("EKF", "EDH")
         assert config.no_timing is True
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("True", True), ("1", True), ("YES", True),
+        ("false", False), ("False", False), ("0", False), ("no", False),
+    ])
+    def test_mapping_reads_boolean_spellings(self, text, value):
+        assert config_from_mapping({"full_ledh": text}).full_ledh is value
+
+    @pytest.mark.parametrize("text", ["on", "ture", "", "2", "y"])
+    def test_mapping_rejects_misspelled_boolean(self, text):
+        with pytest.raises(ValueError, match="no_timing"):
+            config_from_mapping({"no_timing": text})
+
     def test_mapping_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_mapping({"particles": "10"})

@@ -164,13 +164,15 @@ class TestArgumentErrors:
             (["bench", "--out-dir", ""], None, None),
             (["bench"], "mc_runs = abc\n", None),
             (["bench"], "particles = 10\n", None),
+            (["bench"], "no_timing = ture\n", None),
             (["bench"], None, "abc"),
             (["bench", "--config", "missing.cfg"], None, None),
             (["simulate", "--model", "coupled", "--dim", "0"], None, None),
             (["simulate", "--steps", "-1"], None, None),
         ],
         ids=["mc-runs-0", "dims-x", "dims-empty", "out-dir-empty", "config-value",
-             "config-key", "seed-env", "config-missing", "simulate-dim-0", "simulate-steps-negative"],
+             "config-key", "config-boolean", "seed-env", "config-missing",
+             "simulate-dim-0", "simulate-steps-negative"],
     )
     def test_bad_input_is_a_usage_error(self, argv, config, seed_env, tmp_path,
                                         monkeypatch, capsys):

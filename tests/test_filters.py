@@ -363,6 +363,48 @@ class TestAnalyticUpdatesMatchPublicClosedForms:
         np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
 
 
+def euler_reference(particles, P, model, z, steps):
+    """EDH from the public drift forms: per pseudo-time step, h linearized
+    at the running ensemble mean, A and b from drift_matrix_A and
+    drift_vector_b, and the dense Euler step X + (X A^T + b) dlambda."""
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    X = particles
+    xbar0 = X.mean(axis=0)
+    for lam0, lam in zip(grid[:-1], grid[1:]):
+        x_lin = X.mean(axis=0)
+        H = np.atleast_2d(model.measurement_jacobian(x_lin))
+        z_lin = z - model.measurement(x_lin) + H @ x_lin
+        A = drift_matrix_A(P, H, model.R, lam)
+        b = drift_vector_b(P, H, model.R, z_lin, xbar0, lam)
+        X = X + (X @ A.T + b) * (lam - lam0)
+    return X
+
+
+def euler_case(model_name):
+    """reference_case, plus a linear model with two correlated measurement rows."""
+    if model_name != "two-row":
+        return reference_case(model_name)
+    rng = np.random.default_rng(22)
+    H = [[1.0, 0.5, 0.0], [0.0, -1.0, 2.0]]
+    m = linear_model(np.eye(3), np.eye(3), H, [[0.5, 0.1], [0.1, 0.8]])
+    return m, rng.standard_normal((40, 3)) + 0.5, random_spd(rng, 3), np.array([1.0, -2.0])
+
+
+class TestEulerUpdateMatchesPublicDriftForms:
+    # edh_update forms P H^T and S once per step for both A and b; it must
+    # do exactly the arithmetic of the public drift_matrix_A and
+    # drift_vector_b, so the results are equal, not merely close.
+    @pytest.mark.parametrize("model_name", ["ungm", "coupled", "two-row"])
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_edh_equals_reference(self, model_name, steps):
+        m, ens, P, z = euler_case(model_name)
+        cfg = FilterConfig(variant="EDH", particle_count=ens.shape[0], lambda_steps=steps)
+        out = edh_update(ens, P, m, z, cfg)
+        reference = euler_reference(ens, P, m, z, steps)
+        assert not np.array_equal(reference, ens)
+        assert np.array_equal(out, reference)
+
+
 class TestNaedhUpdate:
     def test_zero_jacobian_is_inert(self):
         m = zero_measurement_model()
