@@ -3,6 +3,14 @@
 The EKF runs in parallel with every particle-flow variant to supply the
 predicted covariance the flow drift needs, and doubles as the baseline
 estimator in the benchmarks.
+
+A scalar measurement makes S = H P H^T + R 1x1, and a 1-D state the
+covariance. `_cholesky` and `_whiten` decide that case by shape and skip
+LAPACK there (a 1x1 call costs ~7 us of wrapper overhead): the factor is
+the square root, and the solve multiplies by the factor's reciprocal,
+which is what OpenBLAS's solve computes. So the results equal np.linalg's
+bit for bit; dividing instead would round differently in about half the
+cases.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ class GaussianBelief:
     definiteness is detected and repaired, not guaranteed: the update
     passes its result through `_ensure_positive_definite`, which leaves an
     SPD covariance untouched and lifts a round-off-negative eigenvalue to
-    a small floor.
+    a small floor. A 1x1 covariance is checked without LAPACK (`_cholesky`).
     """
 
     mean: Array
@@ -35,6 +43,27 @@ class GaussianBelief:
 
 def _symmetrize(P: Array) -> Array:
     return 0.5 * (P + P.T)
+
+
+def _cholesky(A: Array) -> Array:
+    """Lower Cholesky factor of an SPD A; a 1x1 A takes its square root.
+
+    Raises LinAlgError where LAPACK's dpotrf does: for a 1x1 A exactly when
+    a <= 0, so NaN and +inf pass (as factors NaN and inf) and reach the
+    caller's divergence check.
+    """
+    if A.shape[-1] == 1:
+        if A[0, 0] <= 0.0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return np.sqrt(A)
+    return np.linalg.cholesky(A)
+
+
+def _whiten(L: Array, B: Array) -> Array:
+    """L^-1 B for a lower-triangular L; a 1x1 L multiplies by 1 / l, as OpenBLAS does."""
+    if L.shape[-1] == 1:
+        return B * (1.0 / L[0, 0])
+    return np.linalg.solve(L, B)
 
 
 _PD_JITTER = 1e-12
@@ -52,7 +81,7 @@ def _ensure_positive_definite(P: Array) -> Array:
     the result is symmetrized.
     """
     try:
-        np.linalg.cholesky(P)
+        _cholesky(P)
         return P
     except np.linalg.LinAlgError:
         pass
@@ -83,7 +112,10 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
     (Bierman 1977): O(n_x^2 n_z) work, one formula for every n_z, and an
     exactly symmetric result when P is. The result still passes through
     `_ensure_positive_definite`, because the subtraction can round a
-    near-singular posterior to a slightly indefinite one.
+    near-singular posterior to a slightly indefinite one. For a scalar
+    measurement `_cholesky` and `_whiten` factor S and whiten without
+    LAPACK, multiplying by 1 / sqrt(S) rather than dividing, so that the
+    result equals np.linalg's bit for bit.
 
     Raises:
         np.linalg.LinAlgError: If the innovation covariance is not
@@ -96,14 +128,14 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
     HP = H @ P
     S = HP @ H.T + model.R
     try:
-        L = np.linalg.cholesky(S)
+        L = _cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "innovation covariance is not positive definite; check that R is SPD"
         ) from exc
 
     innovation = z - model.measurement(belief.mean)
-    whitened = np.linalg.solve(L, np.column_stack((HP, innovation)))
+    whitened = _whiten(L, np.column_stack((HP, innovation)))
     W, e = whitened[:, :-1], whitened[:, -1]
     mean = belief.mean + W.T @ e
     covariance = _ensure_positive_definite(P - W.T @ W)

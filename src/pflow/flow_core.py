@@ -94,8 +94,12 @@ def validate_flow_inputs(P: Array, R: Array) -> Array:
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if not (np.array_equal(R, R.T) and np.linalg.eigvalsh(R).min() > 0.0):
         raise ValueError(f"measurement noise variance must be positive (R SPD), got R = {R.tolist()}")
+    P = np.asarray(P, dtype=float)
+    # Cholesky reads one triangle only, so symmetry is checked first.
+    if not np.array_equal(P, P.T):
+        raise ValueError("P is not symmetric positive definite (P != P^T)")
     try:
-        return np.linalg.cholesky(np.asarray(P, dtype=float))
+        return np.linalg.cholesky(P)
     except np.linalg.LinAlgError as exc:
         raise ValueError("P is not symmetric positive definite") from exc
 

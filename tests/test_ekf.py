@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model
-from pflow.ekf import GaussianBelief, _ensure_positive_definite, ekf_predict, ekf_update
+from pflow.ekf import GaussianBelief, _cholesky, _ensure_positive_definite, ekf_predict, ekf_update
 from pflow.model import ungm_model
 from pflow.oracle import kalman_posterior
 
@@ -118,6 +118,73 @@ class TestUpdate:
         assert np.array_equal(C, C.T)
         np.linalg.cholesky(C)
         assert np.linalg.eigvalsh(P - C).min() >= -1e-12 * scale
+
+
+def _linalg_update(P, H, R, z, xbar):
+    """The measurement update through np.linalg's Cholesky and solve.
+
+    The repair is only reached when np.linalg.cholesky rejects the
+    posterior, so the decision to repair is np.linalg's too.
+    """
+    HP = H @ P
+    S = HP @ H.T + R
+    L = np.linalg.cholesky(S)
+    whitened = np.linalg.solve(L, np.column_stack((HP, z - H @ xbar)))
+    W, e = whitened[:, :-1], whitened[:, -1]
+    C = P - W.T @ W
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        C = _ensure_positive_definite(C)
+    return xbar + W.T @ e, C
+
+
+class TestScalarPath:
+    """The 1x1 factor and whitening give np.linalg's results bit for bit."""
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, 5e-324, 1.0])
+    def test_factor_accepts_what_lapack_accepts(self, a):
+        A = np.array([[a]])
+        np.testing.assert_array_equal(_cholesky(A), np.linalg.cholesky(A))
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, -1e-300, -np.inf])
+    def test_factor_rejects_what_lapack_rejects(self, a):
+        A = np.array([[a]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(A)
+
+    def test_factor_is_lapack_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for a in np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 5000)):
+            A = np.array([[a]])
+            assert _cholesky(A).tobytes() == np.linalg.cholesky(A).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        log_ratio=st.floats(-8.0, 12.0),
+    )
+    def test_update_matches_linalg_reference(self, seed, n, log_ratio):
+        # With OpenBLAS the two agree exactly: its 1x1 solve multiplies by
+        # the reciprocal, as `_whiten` does. One ulp of slack does not cover
+        # a division: P - W^T W cancels, so a last-bit change in W moves the
+        # posterior by up to 4e3 ulp at H P H^T / R = 1 and 3e12 at 1e12.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        P = A @ A.T / n + 0.1 * np.eye(n)
+        P = 0.5 * (P + P.T)
+        H = rng.standard_normal((1, n))
+        R = (H @ P @ H.T) / 10.0**log_ratio
+        xbar = rng.standard_normal(n)
+        z = H @ xbar + np.sqrt(H @ P @ H.T + R)[0] * rng.standard_normal(1)
+
+        out = ekf_update(GaussianBelief(xbar, P), linear_model(np.eye(n), np.eye(n), H, R), z)
+        mean, covariance = _linalg_update(P, H, R, z, xbar)
+        np.testing.assert_array_max_ulp(out.mean, mean, maxulp=1)
+        np.testing.assert_array_max_ulp(out.covariance, covariance, maxulp=1)
 
 
 class TestEnsurePositiveDefinite:

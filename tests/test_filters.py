@@ -689,6 +689,36 @@ class TestRunFilter:
                 run_filter(exploding, traj, cfg, np.random.default_rng(0))
         assert info.value.step >= 1
 
+    def test_nan_covariance_is_a_divergence_at_its_step(self):
+        # A NaN 1x1 covariance passes the factorisation, as in LAPACK, so the
+        # NaN reaches the estimate and is booked as a divergence, not a
+        # LinAlgError.
+        def jacobian(x, k):
+            return np.array([[np.nan if k >= 3 else 0.5]])
+
+        m = SystemModel(
+            n_x=1, n_z=1,
+            transition=lambda x, k: 0.5 * x,
+            measurement=lambda x: x.copy(),
+            transition_jacobian=jacobian,
+            measurement_jacobian=lambda x: np.eye(1),
+            Q=np.eye(1), R=np.eye(1),
+        )
+        traj = Trajectory(states=np.ones((5, 1)), measurements=np.ones((5, 1)), steps=5)
+        with pytest.raises(FilterDivergenceError) as info:
+            run_filter(m, traj, FilterConfig(variant="EKF"), np.random.default_rng(0))
+        assert info.value.step == 3
+
+    @pytest.mark.parametrize("variant", ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"])
+    def test_rejects_nonsymmetric_initial_covariance(self, variant):
+        # Cholesky reads one triangle; [[1, 5], [0, 1]] would factor as I.
+        m = linear_model(np.eye(2), np.eye(2), [[1.0, 0.0]], [[1.0]])
+        traj = Trajectory(states=np.ones((2, 2)), measurements=np.ones((2, 1)), steps=2)
+        cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2,
+                           init_cov=np.array([[1.0, 5.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            run_filter(m, traj, cfg, np.random.default_rng(0))
+
     def test_custom_initialization(self):
         m = ungm_model()
         traj = simulate(m, np.zeros(1), 4, np.random.default_rng(30))

@@ -71,6 +71,11 @@ class TestBuildCoefficients:
         with pytest.raises(ValueError, match="positive definite"):
             build_coefficients(-np.eye(2), [1.0, 0.0], 1.0, 1.0, np.zeros(2))
 
+    def test_rejects_nonsymmetric_covariance(self):
+        # Cholesky reads one triangle; this P would factor as the identity.
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            build_coefficients([[1.0, 5.0], [0.0, 1.0]], [1.0, 0.0], 1.0, 1.0, np.zeros(2))
+
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="positive"):
             build_coefficients(np.eye(1), [1.0], 0.0, 1.0, [0.0])
