@@ -172,6 +172,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command != "bench" and args.seed < 0:
+        parser.error(f"{args.command} --seed must be >= 0, got {args.seed}")
     if args.command == "bench":
         try:
             config = _bench_config(args)

@@ -25,11 +25,10 @@ pseudo-time step and builds both the drift matrix A and the offset b
 from them. LEDH forms H and P H^T particle by particle, then evaluates h
 and the drift once over the stack of per-particle linearizations.
 
-A measurement row with max |H| < DEGENERATE_H_TOL (1e-12) carries no
-information. A-EDH and NA-EDH map it to the identity, because their
-closed form divides by H P H^T; flow_core._map_scalars decides this.
-EDH and LEDH apply their Euler drift for every row: it divides only by
-S, which R bounds below, and it is zero for H = 0.
+All four flow filters apply their update to every measurement row,
+however small. None divides by H P H^T: the Euler drift divides by S,
+which R bounds below, and the closed-form map by k = lambda H P H^T + R.
+A zero row moves nothing, because then P H^T = 0.
 """
 
 from __future__ import annotations

@@ -28,12 +28,6 @@ import numpy as np
 
 Array = np.ndarray
 
-# Below this infinity norm the measurement row carries no information, and
-# the closed-form map, which divides by H P H^T, is the identity. The Euler
-# drift divides only by k >= R and needs no such rule.
-DEGENERATE_H_TOL = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class FlowCoefficients:
     """Scalar-measurement flow bundle and its derived quantities.
@@ -45,10 +39,9 @@ class FlowCoefficients:
         z: Scalar measurement.
         xbar: Mean of the predicted Gaussian (the drift offset uses this
             fixed linearization point), shape (n_x,).
-        Ph: P @ H, shape (n_x,); zero when degenerate.
-        p: H P H^T, positive whenever H is nonzero; zero when degenerate.
-        degenerate: True when max |H| < DEGENERATE_H_TOL; the closed-form
-            map is then the identity.
+        Ph: P @ H, shape (n_x,).
+        p: H P H^T; for a positive semidefinite P, p >= 0 and p = 0
+            means Ph = 0.
 
     `w` and `M` are derived on demand; the filters' map reads neither.
     """
@@ -60,16 +53,15 @@ class FlowCoefficients:
     xbar: Array
     Ph: Array
     p: float
-    degenerate: bool
 
     @property
     def w(self) -> Array:
-        """P H^T z / r, shape (n_x,); zero when degenerate. Read by the oracle and the psi terms."""
+        """P H^T z / r, shape (n_x,). Read by the oracle and the psi terms."""
         return self.Ph * (self.z / self.r)
 
     @property
     def M(self) -> Array:
-        """P H^T H = outer(Ph, H), rank <= 1, shape (n_x, n_x); zero when degenerate.
+        """P H^T H = outer(Ph, H), rank <= 1, shape (n_x, n_x).
 
         Built on demand: the filters use only its rank-one factors.
         """
@@ -78,10 +70,8 @@ class FlowCoefficients:
 
 def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) -> FlowCoefficients:
     """Derive the flow bundle from already-validated inputs."""
-    if np.abs(H).max() < DEGENERATE_H_TOL:
-        return FlowCoefficients(P, H, r, z, xbar, np.zeros(P.shape[0]), 0.0, True)
     Ph = P @ H
-    return FlowCoefficients(P, H, r, z, xbar, Ph, float(H @ Ph), False)
+    return FlowCoefficients(P, H, r, z, xbar, Ph, float(H @ Ph))
 
 
 def validate_flow_inputs(P: Array, R: Array) -> Array:
@@ -199,29 +189,33 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
 
 
 def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
-    """(s, scale, c) of the map over [lam0, lam]; (1, 0, 0), the identity, when degenerate.
+    """(s, scale, c) of the map over [lam0, lam]: Phi = I + scale * M and d = Ph * c.
 
-    s = sqrt(k(lam0)/k(lam)), Phi = I + scale * M with scale = (s - 1)/p, and
-    d = Ph * c with c = z (lam/k(lam) - s lam0/k(lam0)) + (H xbar)(r/p)(1/k(lam) - s/k(lam0)),
-    the sum of the five psi terms without the cancellation those terms
-    suffer when H P H^T >> R (they grow like p/r while their sum stays O(1)).
-    A negative k ratio, or a zero k or p (a P not positive definite along
-    H), gives NaNs as IEEE arithmetic would, so the flow ends nonfinite.
+    With k = lambda p + r, q = sqrt(k) and dlam = lam - lam0, s = q0/q1, and
+    the Phi scale (s - 1)/p and the psi terms' sum
+    c = z (lam/k1 - s lam0/k0) + (H xbar)(r/p)(1/k1 - s/k0) are, since
+    k0 - k1 = -dlam p and (lam q0 - lam0 q1)(q0 + q1) = dlam (r + q0 q1),
+
+        scale = -dlam / (q1 (q0 + q1)),
+        c = dlam (z (r + q0 q1) - r (H xbar)) / (q0 (q0 + q1) k1),
+
+    here divided through by k1 (q0 q1/k1 = s, rho = r/k1) so that no
+    product grows like k^2. Neither subtracts nearly equal terms or divides
+    by p: both keep full precision for every p/r, p = 0 included. A k that
+    is not positive (P indefinite along H) gives NaNs: the flow ends nonfinite.
     """
-    if coeffs.degenerate:
-        return 1.0, 0.0, 0.0
-    p, r = coeffs.p, coeffs.r
-    h_xbar = float(coeffs.H @ coeffs.xbar)
-    k1 = k_eval(coeffs, lam)
     k0 = k_eval(coeffs, lam0)
-    try:
-        q = k0 / k1
-        s = math.sqrt(q) if q >= 0.0 else math.nan
-        measurement_part = coeffs.z * (lam / k1 - s * lam0 / k0)
-        prior_part = h_xbar * (r / p) * (1.0 / k1 - s / k0)
-        return s, (s - 1.0) / p, measurement_part + prior_part
-    except ZeroDivisionError:
+    k1 = k_eval(coeffs, lam)
+    if not (k0 > 0.0 and k1 > 0.0):
         return math.nan, math.nan, math.nan
+    q0, q1 = math.sqrt(k0), math.sqrt(k1)
+    q_sum = q0 + q1
+    s = q0 / q1
+    rho = coeffs.r / k1
+    dlam = lam - lam0
+    h_xbar = float(coeffs.H @ coeffs.xbar)
+    c = dlam * (coeffs.z * (rho + s) - rho * h_xbar) / (q0 * q_sum)
+    return s, -dlam / (q1 * q_sum), c
 
 
 def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
@@ -240,6 +234,8 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
 
     The offset b(tau) splits into five terms (constant, linear-in-xbar,
     and the lambda-weighted cross terms); each integrates in closed form.
+    These forms divide by p = H P H^T. At p = 0 a positive semidefinite P
+    has P H^T = 0, so every term is exactly zero and zeros are returned.
 
     Args:
         index: Term index, 0..4.
@@ -250,7 +246,7 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
     _check_interval(lam, lam0)
-    if coeffs.degenerate:
+    if coeffs.p == 0.0:
         return np.zeros(coeffs.P.shape[0])
 
     p, r, w = coeffs.p, coeffs.r, coeffs.w

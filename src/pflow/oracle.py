@@ -210,7 +210,7 @@ def quadrature_inhomogeneous(
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
-    if coeffs.degenerate:
+    if coeffs.p == 0.0:  # P H^T = 0: every offset term and the integral vanish
         return np.zeros(coeffs.P.shape[0])
 
     k_at_lam = k_eval(coeffs, lam)

@@ -59,6 +59,15 @@ class TestVerify:
         assert "--instances must be >= 1" in captured.err
         assert "verified" not in captured.out
 
+    @pytest.mark.parametrize("command", [["verify", "--instances", "2"], ["simulate", "--steps", "2"]])
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{command[0]} --seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
 
 class TestBench:
     def _args(self, tmp_path, extra=()):

@@ -5,6 +5,7 @@ Derived expected values were computed with the independent oracles
 and the linear-Gaussian posterior) and frozen here.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pflow.flow_core import (
-    DEGENERATE_H_TOL,
     FlowCoefficients,
+    _assemble_coefficients,
+    _map_scalars,
     analytic_flow_map,
     apply_flow_ensemble,
     build_coefficients,
@@ -55,7 +57,6 @@ class TestBuildCoefficients:
         assert scalar_z2.p == 1.0
         np.testing.assert_allclose(scalar_z2.w, [2.0])
         np.testing.assert_allclose(scalar_z2.M, [[1.0]])
-        assert not scalar_z2.degenerate
 
     def test_two_dimensional_instance(self):
         c = build_coefficients(np.eye(2), [1.0, 0.0], 2.0, 4.0, np.zeros(2))
@@ -64,8 +65,8 @@ class TestBuildCoefficients:
 
     def test_zero_row_is_degenerate(self):
         c = build_coefficients(np.eye(2), [0.0, 0.0], 1.0, 1.0, np.zeros(2))
-        assert c.degenerate
         assert c.p == 0.0
+        assert np.array_equal(c.Ph, np.zeros(2))
 
     def test_rejects_nonspd_covariance(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -422,12 +423,12 @@ class TestApplyFlow:
         out = apply_flow_ensemble(scalar_z2, np.array([[1.0]]), 1.0, 0.0)
         np.testing.assert_allclose(out[0], numeric[0], rtol=1e-6)
 
-    @pytest.mark.parametrize("p", [0.0, -1.0, -2.0])
+    @pytest.mark.parametrize("p", [-1.0, -2.0])
     def test_indefinite_coefficients_end_nonfinite(self, p):
-        # p = 0, k(1) = 0 and k(1) < 0 come only from a P that is not
-        # positive definite along H. The map must return NaNs, which the
+        # k(1) = 0 and k(1) < 0 come only from a P that is not positive
+        # semidefinite along H. The map must return NaNs, which the
         # filters report as divergence, instead of raising.
-        c = FlowCoefficients(np.eye(1), np.ones(1), 1.0, 2.0, np.zeros(1), np.ones(1), p, False)
+        c = FlowCoefficients(np.eye(1), np.ones(1), 1.0, 2.0, np.zeros(1), np.ones(1), p)
         out = apply_flow_ensemble(c, np.array([[1.0], [-1.0]]), 1.0, 0.0)
         assert np.all(np.isnan(out))
 
@@ -449,13 +450,6 @@ def scaled_flow_instance(seed, log_ratio):
     base = random_flow_instance(rng, int(rng.integers(1, 9)))
     c = build_coefficients(base.P, base.H, base.p / 10.0 ** log_ratio, base.z, base.xbar)
     return c, rng.standard_normal((int(rng.integers(1, 12)), c.P.shape[0]))
-
-
-def tiny_row_instance(seed, size):
-    """A random instance whose measurement row is nonzero with max |H| = size, and an ensemble."""
-    c, X = scaled_flow_instance(seed, 0.0)
-    H = c.H / np.abs(c.H).max() * size
-    return build_coefficients(c.P, H, c.r, c.z, c.xbar), X
 
 
 class TestFlowMapProperties:
@@ -510,16 +504,102 @@ class TestFlowMapProperties:
         assert relative_deviation(phi @ c.xbar + d, posterior.mean) < 1e-13
         assert relative_deviation(phi @ c.P @ phi.T, posterior.covariance) < 1e-13
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        size=st.floats(1e-300, DEGENERATE_H_TOL, exclude_max=True),
-        lams=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+
+def reference_map_scalars(coeffs, lam, lam0):
+    """(s, scale, c) of the map from the bundle's float values, in 1000-digit decimals.
+
+    Evaluates the unfactored forms s = sqrt(k0/k1), (s - 1)/p and
+    z (lam/k1 - s lam0/k0) + (H xbar)(r/p)(1/k1 - s/k0), whose cancellation
+    costs about -log10(p/r) < 330 digits here; at p = 0, their limits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        p, r, z, lam, lam0 = (Decimal(float(v)) for v in (coeffs.p, coeffs.r, coeffs.z, lam, lam0))
+        h_xbar = sum(Decimal(float(a)) * Decimal(float(b)) for a, b in zip(coeffs.H, coeffs.xbar))
+        dlam = lam - lam0
+        if p == 0:
+            return Decimal(1), -dlam / (2 * r), dlam * (2 * z - h_xbar) / (2 * r)
+        k0, k1 = lam0 * p + r, lam * p + r
+        s = (k0 / k1).sqrt()
+        return s, (s - 1) / p, z * (lam / k1 - s * lam0 / k0) + h_xbar * (r / p) * (1 / k1 - s / k0)
+
+
+def increment_instance(seed, size=1.0, log_ratio=None, null_row=False):
+    """A flow bundle in which no input sum cancels, with p/r = 10**log_ratio (r = 1 when None).
+
+    P is diagonal and xbar is signed against z through H, so H xbar and
+    the numerator of c add terms of one sign. null_row zeroes P along H,
+    giving p = 0 and Ph = 0 with H xbar nonzero.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    sign = rng.choice([-1.0, 1.0], n)
+    H = size * sign * rng.uniform(0.5, 1.0, n)
+    P = np.diag(rng.uniform(0.5, 2.0, n))
+    if null_row:
+        H[:-1] = 0.0
+        P[-1, -1] = 0.0
+    p = H @ P @ H
+    r = 1.0 if log_ratio is None else p / 10.0 ** log_ratio
+    z = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    xbar = -np.sign(z) * sign * rng.uniform(0.1, 1.0, n)
+    return _assemble_coefficients(P, H, r, z, xbar)
+
+
+INCREMENT_CASES = [
+    pytest.param(seed, case, id=name)
+    for seed, (name, case) in enumerate(
+        [("H=0", {"size": 0.0}), ("P_H=0", {"null_row": True})]
+        + [(f"p/r=1e{e}", {"log_ratio": e}) for e in (-300, -100, -17, -14, -11, -8, -4, 0, 4, 8, 12, 15)]
+        + [(f"max|H|={h:g}", {"size": h}) for h in (1e-300, 1e-200, 1e-155, 1e-150, 1e-100, 1e-50, 1e-20, 1e-13, 1e-12)]
     )
-    def test_measurement_row_below_tolerance_is_identity(self, seed, size, lams):
-        c, X = tiny_row_instance(seed, size)
-        assert c.degenerate and np.abs(c.H).max() == size
-        assert np.array_equal(apply_flow_ensemble(c, X, lams[1], lams[0]), X)
+]
+
+# Wide intervals, and intervals 1e-7 wide at both ends and inside [0, 1].
+INCREMENT_INTERVALS = [(0.0, 1.0), (0.0, 0.1), (0.25, 0.75), (0.9, 1.0), (0.0, 1e-7), (0.3, 0.3 + 1e-7), (1.0 - 1e-7, 1.0)]
+
+
+def relative_error(value, reference):
+    return float(abs(Decimal(float(value)) - reference) / abs(reference))
+
+
+class TestFlowMapIncrement:
+    # The map's increment, not the posterior: scale and c are the size of
+    # the move, so a deviation relative to the posterior hides their loss
+    # as p/r -> 0, where the move is tiny. Both stay within 1e-14 of the
+    # reference from p = 0 to p/r = 1e15, on wide and 1e-7-wide intervals.
+    @pytest.mark.parametrize("seed, case", INCREMENT_CASES)
+    def test_scalars_match_reference(self, seed, case):
+        coeffs = increment_instance(seed, **case)
+        for lam0, lam in INCREMENT_INTERVALS:
+            references = reference_map_scalars(coeffs, lam, lam0)
+            for name, value, reference in zip(("s", "scale", "c"), _map_scalars(coeffs, lam, lam0), references):
+                assert relative_error(value, reference) <= 1e-14, (name, lam0, lam)
+
+    # One ensemble move minus its input, against Ph (scale H x + c) in
+    # decimals. The particles are signed like xbar, so scale H x and c add,
+    # and sized like the move, so the subtraction of the input is exact to
+    # rounding: the deviation is the map's own. With Ph = 0 unit-sized
+    # particles must not move at all.
+    @pytest.mark.parametrize("seed, case", INCREMENT_CASES)
+    def test_ensemble_move_matches_reference(self, seed, case):
+        coeffs = increment_instance(seed, **case)
+        rng = np.random.default_rng(7)
+        for lam0, lam in INCREMENT_INTERVALS:
+            _, scale, c = reference_map_scalars(coeffs, lam, lam0)
+            size = float(abs(c)) * np.abs(coeffs.Ph).min() or 1.0
+            X = np.sign(coeffs.xbar) * size * rng.uniform(0.5, 1.0, (4, coeffs.P.shape[0]))
+            move = apply_flow_ensemble(coeffs, X, lam, lam0) - X
+            if not coeffs.Ph.any():
+                assert np.array_equal(move, np.zeros_like(X)), (lam0, lam)
+                continue
+            with localcontext() as ctx:
+                ctx.prec = 1000
+                for x, row in zip(X, move):
+                    h_x = sum(Decimal(float(a)) * Decimal(float(b)) for a, b in zip(coeffs.H, x))
+                    for ph, value in zip(coeffs.Ph, row):
+                        reference = Decimal(float(ph)) * (scale * h_x + c)
+                        assert relative_error(value, reference) <= 1e-14, (lam0, lam)
 
 
 class TestCommutativity:
