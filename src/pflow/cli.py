@@ -33,6 +33,8 @@ from .model import random_coupled_model, simulate, ungm_model
 from .oracle import ORACLE_TOLERANCES, verify_closed_forms
 
 SEED_ENV_VAR = "PFLOW_SEED"
+# BLAS/OpenMP thread settings recorded in metadata.json (null when unset).
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,6 +111,11 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
         },
         "run_records": len(records),
         "failed_runs": len(failed),
+        # Coupled-model figures depend on the BLAS thread count.
+        "environment": {
+            "numpy_version": np.__version__,
+            "thread_variables": {var: os.environ.get(var) for var in THREAD_ENV_VARS},
+        },
     }
     write_text(os.path.join(out_dir, "metadata.json"), json.dumps(metadata, indent=2) + "\n")
 

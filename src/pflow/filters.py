@@ -7,7 +7,8 @@ Filters:
     LEDH     - localized variant, relinearized at every particle
     A-EDH    - the closed-form flow map applied in a single step
     NA-EDH   - the closed-form map applied over N pseudo-time sub-intervals,
-               relinearizing between sub-intervals
+               relinearizing between sub-intervals at a mean carried
+               through the sub-maps
 
 Every flow filter runs next to an EKF whose predicted covariance feeds the
 flow drift. The drift offset uses the ensemble mean where the flow
@@ -25,6 +26,11 @@ pseudo-time step and builds both the drift matrix A and the offset b
 from them. LEDH forms H and P H^T particle by particle, then evaluates h
 and the drift once over the stack of per-particle linearizations.
 
+A-EDH and NA-EDH share `_analytic_flow`. Each closed-form sub-map is
+affine, so the mean is carried through the sub-maps alone to
+relinearize h, and the composed map of each block of sub-maps moves the
+ensemble in one pass: once per time step at the default 10 sub-maps.
+
 All four flow filters apply their update to every measurement row,
 however small. None divides by H P H^T: the Euler drift divides by S,
 which R bounds below, and the closed-form map by k = lambda H P H^T + R.
@@ -40,17 +46,19 @@ import numpy as np
 
 from .ekf import GaussianBelief, ekf_predict, ekf_update
 from .flow_core import (
-    _assemble_coefficients,
     _drift_matrix,
     _drift_S,
     _euler_drift,
-    apply_flow_ensemble,
-    # Not called here: edh_update builds A and b from the helpers above.
-    # The benchmark's tracer (perfbench/spans.py) wraps both names in this
+    _map_scalars,
+    validate_flow_inputs,
+    # Not called here: edh_update builds A and b from the drift helpers,
+    # and _analytic_flow composes its sub-maps from _map_scalars. The
+    # benchmark's tracer (perfbench/spans.py) wraps these names in this
     # module, so they must stay bound here.
+    _assemble_coefficients,
+    apply_flow_ensemble,
     drift_matrix_A,
     drift_vector_b,
-    validate_flow_inputs,
 )
 from .model import SystemModel, Trajectory, _cholesky_or_zero
 
@@ -199,21 +207,57 @@ def ledh_update(
     return X
 
 
+# Sub-maps composed per ensemble pass. Within a pass the recurrence costs
+# O(block * n_x) per sub-map, and W and Phs hold block * n_x floats, so time
+# and memory stay linear in lambda_steps; the default 10 steps are one pass.
+_COMPOSE_BLOCK = 16
+
+
 def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array, n_steps: int) -> Array:
-    """Closed-form maps over n_steps uniform sub-intervals, h relinearized at each start."""
+    """Closed-form maps over n_steps uniform sub-intervals, h relinearized at each start.
+
+    Sub-map j is affine: x -> x + (scale_j H_j x + c_j) Ph_j, with
+    Ph_j = P H_j^T and (scale_j, c_j) from `_map_scalars`. So the ensemble
+    mean is carried through the sub-maps by itself, and h is relinearized
+    at the carried mean. A block of sub-maps then composes to
+    x -> x + (W x + b) Phs, one ensemble pass: row j of W and b solve the
+    unit-lower-triangular recurrence
+    (w_j, b_j) = scale_j ((H_j, 0) + sum_{i<j} (H_j . Ph_i)(w_i, b_i)) + (0, c_j).
+
+    Cost: two model callbacks, the P H^T matvec and O(block * n_x)
+    recurrence work per sub-map, plus two (N, n_x, block) products per
+    block; O(K (n_x + N + block) n_x) in all for K sub-maps, with no
+    n_x x n_x matrix formed.
+    """
     if model.n_z != 1:
         raise ValueError(f"A-EDH and NA-EDH require a scalar measurement, got n_z = {model.n_z}")
     z = float(np.ravel(z)[0])
     r = float(model.R[0, 0])
     grid = _lambda_points(n_steps)
     X = particles
-    xbar0 = _ensemble_mean(X)
-    for lam0, lam in zip(grid, grid[1:]):
-        x_lin = _ensemble_mean(X) if lam0 > 0.0 else xbar0
-        H = np.asarray(model.measurement_jacobian(x_lin), dtype=float).reshape(-1)
-        z_lin = _linearized_measurement(z, model.measurement(x_lin)[0], H @ x_lin)
-        coeffs = _assemble_coefficients(P_pred, H, r, float(z_lin), xbar0)
-        X = apply_flow_ensemble(coeffs, X, lam, lam0)
+    xbar0 = xbar = _ensemble_mean(X)
+    for start in range(0, n_steps, _COMPOSE_BLOCK):
+        intervals = list(zip(grid[start:], grid[start + 1 : start + 1 + _COMPOSE_BLOCK]))
+        W = np.empty((len(intervals), X.shape[1]))
+        Phs = np.empty_like(W)
+        b = np.empty(len(intervals))
+        for j, (lam0, lam) in enumerate(intervals):
+            H = np.asarray(model.measurement_jacobian(xbar), dtype=float).reshape(-1)
+            Ph = P_pred @ H
+            Hx = H @ xbar
+            z_lin = _linearized_measurement(z, model.measurement(xbar)[0], Hx)
+            _, scale, c = _map_scalars(float(H @ Ph), r, float(z_lin), float(H @ xbar0), lam, lam0)
+            if j:  # the first sub-map of a block has nothing to compose with
+                HPh = Phs[:j] @ H
+                W[j] = scale * (H + HPh @ W[:j])
+                b[j] = scale * (HPh @ b[:j]) + c
+            else:
+                W[j] = scale * H
+                b[j] = c
+            Phs[j] = Ph
+            if lam < 1.0:  # the mean after the last sub-map is not read
+                xbar = xbar + (scale * Hx + c) * Ph
+        X = X + (X @ W.T + b) @ Phs
     return X
 
 
@@ -246,10 +290,12 @@ def naedh_update(
     """N-step analytic flow: exact sub-interval maps with relinearization.
 
     Between sub-intervals the measurement function is relinearized at the
-    current ensemble mean, restoring the spatial adaptivity that the
-    single-step map gives up. With a linear measurement all sub-maps
-    compose exactly into the single-step map. Same input conditions as
-    aedh_update.
+    ensemble mean, restoring the spatial adaptivity that the single-step
+    map gives up. That mean is carried through the affine sub-maps, and
+    the ensemble moves once per block of composed sub-maps
+    (`_analytic_flow`); both equal the sub-map-by-sub-map result up to
+    round-off. With a linear measurement all sub-maps compose exactly
+    into the single-step map. Same input conditions as aedh_update.
     """
     return _analytic_flow(particles, P_pred, model, z, config.lambda_steps)
 

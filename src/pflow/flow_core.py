@@ -188,11 +188,12 @@ def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: flo
     return _euler_drift(PHt, _drift_S(PHt, H, R, lam), H, R, z, xbar, 0.0)
 
 
-def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
+def _map_scalars(p: float, r: float, z: float, h_xbar: float, lam: float, lam0: float) -> tuple[float, float, float]:
     """(s, scale, c) of the map over [lam0, lam]: Phi = I + scale * M and d = Ph * c.
 
-    With k = lambda p + r, q = sqrt(k) and dlam = lam - lam0, s = q0/q1, and
-    the Phi scale (s - 1)/p and the psi terms' sum
+    p = H P H^T, r = R, z the scalar measurement and h_xbar = H xbar, all
+    plain floats. With k = lambda p + r, q = sqrt(k) and dlam = lam - lam0,
+    s = q0/q1, and the Phi scale (s - 1)/p and the psi terms' sum
     c = z (lam/k1 - s lam0/k0) + (H xbar)(r/p)(1/k1 - s/k0) are, since
     k0 - k1 = -dlam p and (lam q0 - lam0 q1)(q0 + q1) = dlam (r + q0 q1),
 
@@ -204,18 +205,22 @@ def _map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[flo
     by p: both keep full precision for every p/r, p = 0 included. A k that
     is not positive (P indefinite along H) gives NaNs: the flow ends nonfinite.
     """
-    k0 = k_eval(coeffs, lam0)
-    k1 = k_eval(coeffs, lam)
+    k0 = lam0 * p + r
+    k1 = lam * p + r
     if not (k0 > 0.0 and k1 > 0.0):
         return math.nan, math.nan, math.nan
     q0, q1 = math.sqrt(k0), math.sqrt(k1)
     q_sum = q0 + q1
     s = q0 / q1
-    rho = coeffs.r / k1
+    rho = r / k1
     dlam = lam - lam0
-    h_xbar = float(coeffs.H @ coeffs.xbar)
-    c = dlam * (coeffs.z * (rho + s) - rho * h_xbar) / (q0 * q_sum)
+    c = dlam * (z * (rho + s) - rho * h_xbar) / (q0 * q_sum)
     return s, -dlam / (q1 * q_sum), c
+
+
+def _bundle_map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
+    """`_map_scalars` of a flow bundle."""
+    return _map_scalars(coeffs.p, coeffs.r, coeffs.z, float(coeffs.H @ coeffs.xbar), lam, lam0)
 
 
 def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
@@ -225,7 +230,7 @@ def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Arra
     over [lam0, lam]; see the oracle module for the cross-check.
     """
     _check_interval(lam, lam0)
-    _, scale, _ = _map_scalars(coeffs, lam, lam0)
+    _, scale, _ = _bundle_map_scalars(coeffs, lam, lam0)
     return np.eye(coeffs.P.shape[0]) + scale * coeffs.M
 
 
@@ -252,7 +257,7 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     p, r, w = coeffs.p, coeffs.r, coeffs.w
     k1 = k_eval(coeffs, lam)
     k0 = k_eval(coeffs, lam0)
-    ratio, _, _ = _map_scalars(coeffs, lam, lam0)
+    ratio, _, _ = _bundle_map_scalars(coeffs, lam, lam0)
     Mx = coeffs.Ph * float(coeffs.H @ coeffs.xbar)  # M @ xbar
 
     psi0 = (2.0 / 3.0) * (w / p) * (k1 - k0 * ratio)
@@ -269,7 +274,7 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
 def inhomogeneous_sum(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
     """The affine part d = Ph * c of the flow map: the five psi terms summed as in `_map_scalars`."""
     _check_interval(lam, lam0)
-    _, _, c = _map_scalars(coeffs, lam, lam0)
+    _, _, c = _bundle_map_scalars(coeffs, lam, lam0)
     return coeffs.Ph * c
 
 
@@ -285,11 +290,14 @@ def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tupl
 def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, lam0: float) -> Array:
     """Move a (count, n_x) array of states through the flow map over [lam0, lam].
 
-    Each row x goes to Phi @ x + d = x + scale (H x) Ph + Ph c. The
-    rank-one structure makes one sub-step cost a (count, n_x) @ (n_x,)
-    product, one rank-one update of the ensemble and a few scalar
-    operations: O(count * n_x), with no n_x x n_x matrix.
+    Each row x goes to Phi @ x + d = x + scale (H x) Ph + Ph c, for the
+    bundle's one frozen linearization. The rank-one structure makes this
+    cost a (count, n_x) @ (n_x,) product, one rank-one update of the
+    ensemble and a few scalar operations: O(count * n_x), with no
+    n_x x n_x matrix. The filters do not call it: A-EDH and NA-EDH compose
+    their relinearized sub-maps from the same `_map_scalars` and move the
+    ensemble once per block of sub-maps (`filters._analytic_flow`).
     """
     _check_interval(lam, lam0)
-    _, scale, c = _map_scalars(coeffs, lam, lam0)
+    _, scale, c = _bundle_map_scalars(coeffs, lam, lam0)
     return particles + scale * ((particles @ coeffs.H)[:, np.newaxis] * coeffs.Ph) + coeffs.Ph * c

@@ -88,6 +88,19 @@ class TestBench:
         assert metadata["notes"]["common_random_numbers_across_filters"] is True
         assert "table rows" in capsys.readouterr().out
 
+    def test_metadata_records_numpy_and_thread_variables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(self._args(tmp_path, ("--no-timing",))) == 0
+        metadata = json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8"))
+        assert metadata["environment"] == {
+            "numpy_version": np.__version__,
+            "thread_variables": {
+                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+            },
+        }
+
     def test_no_timing_is_byte_identical(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         main(self._args(dir_a, ("--no-timing",)))

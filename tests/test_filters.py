@@ -11,6 +11,7 @@ from conftest import linear_model
 from pflow import ekf as ekf_module
 from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
 from pflow.filters import (
+    _COMPOSE_BLOCK,
     FILTER_NAMES,
     FilterConfig,
     FilterDivergenceError,
@@ -341,17 +342,42 @@ class TestEulerConvergesToAnalytic:
         assert errors[0] > errors[1] > errors[2]
 
 
+def recording_jacobian(model, points):
+    """The model with measurement_jacobian appending each point it is evaluated at."""
+    def jacobian(x):
+        points.append(np.array(x, dtype=float))
+        return model.measurement_jacobian(x)
+
+    return dataclasses.replace(model, measurement_jacobian=jacobian)
+
+
 class TestAnalyticUpdatesMatchPublicClosedForms:
     # The filters' rank-one kernel must stay the map that build_coefficients
     # and analytic_flow_map define, so a fast path cannot make another filter.
+    # The update composes its sub-maps in blocks of _COMPOSE_BLOCK; the
+    # last step count spans three blocks and ends in a partial one.
     @pytest.mark.parametrize("model_name", ["ungm", "coupled"])
-    @pytest.mark.parametrize("steps", [1, 3, 10])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 10, 100, 2 * _COMPOSE_BLOCK + 3])
     def test_naedh_matches_reference(self, model_name, steps):
         m, ens, P, z = reference_case(model_name)
         cfg = FilterConfig(variant="NA-EDH", particle_count=ens.shape[0], lambda_steps=steps)
         out = naedh_update(ens, P, m, z, cfg)
         reference = analytic_reference(ens, P, m, z, steps)
         np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    # The update relinearizes at a mean carried through the sub-maps; the
+    # reference at the mean of the ensemble it moves, sub-map by sub-map.
+    @pytest.mark.parametrize("model_name", ["ungm", "coupled"])
+    @pytest.mark.parametrize("steps", [3, 10, 2 * _COMPOSE_BLOCK + 3])
+    def test_carried_mean_is_the_moved_ensemble_mean(self, model_name, steps):
+        m, ens, P, z = reference_case(model_name)
+        carried, moved = [], []
+        cfg = FilterConfig(variant="NA-EDH", particle_count=ens.shape[0], lambda_steps=steps)
+        naedh_update(ens, P, recording_jacobian(m, carried), z, cfg)
+        analytic_reference(ens, P, recording_jacobian(m, moved), z, steps)
+        assert len(carried) == len(moved) == steps
+        for j, (x_carried, x_moved) in enumerate(zip(carried, moved)):
+            assert np.max(np.abs(x_carried - x_moved)) <= 1e-12 * np.max(np.abs(x_moved)), j
 
     @pytest.mark.parametrize("model_name", ["ungm", "coupled"])
     @pytest.mark.parametrize("steps", [1, 3, 10])
@@ -721,6 +747,40 @@ class TestRunFilter:
             with pytest.raises(FilterDivergenceError) as info:
                 run_filter(exploding, traj, cfg, np.random.default_rng(0))
         assert info.value.step >= 1
+
+    def test_prior_indefinite_along_a_relinearized_row_is_a_divergence_at_its_step(self, monkeypatch):
+        # h(x) = x0 + 5 x1^2, so H = [1, 10 x1] turns with the mean. At step 3
+        # the predicted covariance is made indefinite (the EKF itself keeps
+        # it SPD). NA-EDH's first sub-map linearizes near x1 = 0, where
+        # H P H^T is about 1; the second at the moved mean, where it is
+        # about -79, so k(lambda) <= 0 inside [0.25, 0.5]. The EKF sees
+        # H = [1, 0] and stays finite. The NaNs of that middle sub-map must
+        # end the run at step 3: not as a LinAlgError, not as finite particles.
+        m = SystemModel(
+            n_x=2, n_z=1,
+            transition=lambda x, k: np.zeros_like(x),
+            measurement=lambda x: x[..., :1] + 5.0 * x[..., 1:] ** 2,
+            transition_jacobian=lambda x, k: np.zeros((2, 2)),
+            measurement_jacobian=lambda x: np.array([[1.0, 10.0 * x[1]]]),
+            Q=1e-4 * np.eye(2), R=np.eye(1),
+        )
+        indefinite = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+        def predict(belief, model, k):
+            predicted = ekf_predict(belief, model, k)
+            return GaussianBelief(predicted.mean, indefinite) if k == 3 else predicted
+
+        points = []
+        ens = np.random.default_rng(0).standard_normal((5, 2)) * 1e-2
+        cfg = FilterConfig(variant="NA-EDH", particle_count=5, lambda_steps=4)
+        naedh_update(ens, indefinite, recording_jacobian(m, points), np.array([5.0]), cfg)
+        assert np.isfinite(points[1]).all() and np.isnan(points[2]).all()
+
+        monkeypatch.setattr("pflow.filters.ekf_predict", predict)
+        traj = Trajectory(states=np.zeros((5, 2)), measurements=np.full((5, 1), 5.0), steps=5)
+        with pytest.raises(FilterDivergenceError) as info:
+            run_filter(m, traj, cfg, np.random.default_rng(0))
+        assert info.value.step == 3
 
     def test_nan_covariance_is_a_divergence_at_its_step(self):
         # A NaN 1x1 covariance passes the factorisation, as in LAPACK, so the

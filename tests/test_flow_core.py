@@ -573,7 +573,8 @@ class TestFlowMapIncrement:
         coeffs = increment_instance(seed, **case)
         for lam0, lam in INCREMENT_INTERVALS:
             references = reference_map_scalars(coeffs, lam, lam0)
-            for name, value, reference in zip(("s", "scale", "c"), _map_scalars(coeffs, lam, lam0), references):
+            values = _map_scalars(coeffs.p, coeffs.r, coeffs.z, float(coeffs.H @ coeffs.xbar), lam, lam0)
+            for name, value, reference in zip(("s", "scale", "c"), values, references):
                 assert relative_error(value, reference) <= 1e-14, (name, lam0, lam)
 
     # One ensemble move minus its input, against Ph (scale H x + c) in
