@@ -22,10 +22,15 @@ from .model import SystemModel, random_coupled_model, simulate, ungm_model
 
 Array = np.ndarray
 
-# LEDH at high dimension with large ensembles costs minutes per run; the
-# default sweep trims it and the full sweep is opt-in.
+# LEDH at dim 100 with 500 particles takes about 4 s per run, five times
+# EDH, and nearly doubles the default sweep; the default sweep trims it and
+# the full sweep is opt-in.
 _LEDH_TRIM_DIM = 100
 _LEDH_TRIM_PARTICLES = 100
+
+# The benchmark models, as BenchConfig.model and the CLI's --model name them.
+MODEL_NAMES = ("ungm", "coupled")
+
 
 @dataclass
 class BenchConfig:
@@ -58,7 +63,7 @@ class BenchConfig:
     full_ledh: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ("ungm", "coupled"):
+        if self.model not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}")
         for name, value in (
             ("lambda_steps", self.lambda_steps),
@@ -96,8 +101,12 @@ class RunRecord:
     runtime_ms: float
     n_lambda: int
     master_seed: int
-    failed: bool = False
     error: str = ""
+
+    @property
+    def failed(self) -> bool:
+        """Whether the run failed; `error` then gives the reason."""
+        return bool(self.error)
 
 
 @dataclass
@@ -242,7 +251,6 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
                             runtime_ms=0.0 if error or config.no_timing else elapsed_ms,
                             n_lambda=config.lambda_steps,
                             master_seed=config.master_seed,
-                            failed=bool(error),
                             error=error,
                         )
                     )

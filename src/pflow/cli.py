@@ -18,7 +18,9 @@ import numpy as np
 
 from . import __version__
 from .bench import (
+    MODEL_NAMES,
     BenchConfig,
+    _build_model,
     config_from_mapping,
     emit_csv,
     emit_markdown,
@@ -29,7 +31,7 @@ from .bench import (
     write_text,
 )
 from .filters import FILTER_NAMES
-from .model import random_coupled_model, simulate, ungm_model
+from .model import simulate
 from .oracle import ORACLE_TOLERANCES, verify_closed_forms
 
 SEED_ENV_VAR = "PFLOW_SEED"
@@ -44,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a Monte Carlo benchmark sweep")
     bench.add_argument("--config", help="flat key = value config file")
-    bench.add_argument("--model", choices=("ungm", "coupled"))
+    bench.add_argument("--model", choices=MODEL_NAMES)
     bench.add_argument("--dims", help="comma-separated state dimensions (coupled)")
     bench.add_argument("--particle-counts", help="comma-separated ensemble sizes")
     bench.add_argument("--lambda-steps", type=int)
@@ -66,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
 
     sim = sub.add_parser("simulate", help="emit a simulated trajectory as CSV")
-    sim.add_argument("--model", choices=("ungm", "coupled"), default="ungm")
+    sim.add_argument("--model", choices=MODEL_NAMES, default="ungm")
     sim.add_argument("--dim", type=int, default=10, help="state dimension (coupled only)")
     sim.add_argument("--steps", type=int, default=100)
     sim.add_argument("--seed", type=int, default=0)
@@ -151,10 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.model == "ungm":
-        model = ungm_model()
-    else:
-        model = random_coupled_model(args.dim, rng)
+    model = _build_model(args.model, args.dim, rng)
     trajectory = simulate(model, np.zeros(model.n_x), args.steps, rng)
 
     header = (

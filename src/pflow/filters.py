@@ -328,8 +328,8 @@ def run_filter(
         FilterDivergenceError: At the first time step whose estimate is
             nonfinite; carries that step index. A nonfinite particle
             always makes the ensemble mean nonfinite.
-        ValueError: Before the first step, if R or the initial covariance
-            is not symmetric positive definite.
+        ValueError: Before the first step, if Q is not symmetric, or if
+            R or the initial covariance is not symmetric positive definite.
     """
     n = model.n_x
     mean0 = np.zeros(n) if config.init_mean is None else np.asarray(config.init_mean, dtype=float)
@@ -337,6 +337,10 @@ def run_filter(
     belief = GaussianBelief(mean0, cov0)
 
     # The EKF keeps P SPD from an SPD start, so only the run's inputs are checked.
+    # The particles' noise factor reads one triangle of Q and the EKF adds all
+    # of Q, so the two agree only for a symmetric Q; a zero Q is allowed.
+    if not np.array_equal(model.Q, model.Q.T):
+        raise ValueError("process noise covariance is not symmetric (Q != Q^T)")
     chol0 = validate_flow_inputs(cov0, model.R)
     particles = None
     if config.variant != "EKF":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +40,9 @@ class FlowCoefficients:
         z: Scalar measurement.
         xbar: Mean of the predicted Gaussian (the drift offset uses this
             fixed linearization point), shape (n_x,).
-        Ph: P @ H, shape (n_x,).
-        p: H P H^T; for a positive semidefinite P, p >= 0 and p = 0
-            means Ph = 0.
 
-    `w` and `M` are derived on demand; the filters' map reads neither.
+    `Ph` and `p` are computed from P and H on first read and kept; `w` and
+    `M` are derived on demand. The filters' map reads none of them.
     """
 
     P: Array
@@ -51,8 +50,16 @@ class FlowCoefficients:
     r: float
     z: float
     xbar: Array
-    Ph: Array
-    p: float
+
+    @cached_property
+    def Ph(self) -> Array:
+        """P @ H, shape (n_x,)."""
+        return self.P @ self.H
+
+    @cached_property
+    def p(self) -> float:
+        """H P H^T; for a positive semidefinite P, p >= 0 and p = 0 means Ph = 0."""
+        return float(self.H @ self.Ph)
 
     @property
     def w(self) -> Array:
@@ -69,9 +76,8 @@ class FlowCoefficients:
 
 
 def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) -> FlowCoefficients:
-    """Derive the flow bundle from already-validated inputs."""
-    Ph = P @ H
-    return FlowCoefficients(P, H, r, z, xbar, Ph, float(H @ Ph))
+    """The flow bundle of already-validated inputs."""
+    return FlowCoefficients(P, H, r, z, xbar)
 
 
 def validate_flow_inputs(P: Array, R: Array) -> Array:

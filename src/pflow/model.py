@@ -46,24 +46,33 @@ class SystemModel:
     single state only.
 
     Attributes:
-        n_x: State dimension.
-        n_z: Measurement dimension (1 for both benchmark models).
         transition: g(x, k) -> next state mean, one row per state.
         measurement: h(x) -> measurement mean, one row per state.
         transition_jacobian: dg/dx at (x, k), shape (n_x, n_x).
         measurement_jacobian: dh/dx at x, shape (n_z, n_x).
         Q: Process-noise covariance, symmetric positive definite.
         R: Measurement-noise covariance, symmetric positive definite.
+
+    The state dimension n_x and the measurement dimension n_z are the
+    orders of Q and R.
     """
 
-    n_x: int
-    n_z: int
     transition: Callable[[Array, int], Array]
     measurement: Callable[[Array], Array]
     transition_jacobian: Callable[[Array, int], Array]
     measurement_jacobian: Callable[[Array], Array]
     Q: Array
     R: Array
+
+    @property
+    def n_x(self) -> int:
+        """State dimension, the order of Q."""
+        return len(self.Q)
+
+    @property
+    def n_z(self) -> int:
+        """Measurement dimension, the order of R (1 for both benchmark models)."""
+        return len(self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +82,15 @@ class Trajectory:
     Attributes:
         states: Array of shape (steps, n_x).
         measurements: Array of shape (steps, n_z).
-        steps: Number of time steps N.
     """
 
     states: Array
     measurements: Array
-    steps: int
+
+    @property
+    def steps(self) -> int:
+        """Number of time steps N, the rows of `states`."""
+        return len(self.states)
 
 
 def _cholesky_or_zero(cov: Array) -> Array:
@@ -118,8 +130,6 @@ def ungm_model() -> SystemModel:
         return np.array([[x[0] / 10.0]])
 
     return SystemModel(
-        n_x=1,
-        n_z=1,
         transition=transition,
         measurement=measurement,
         transition_jacobian=transition_jacobian,
@@ -186,8 +196,6 @@ def random_coupled_model(dim: int, rng: np.random.Generator) -> SystemModel:
         return 2.0 * x[np.newaxis, :]
 
     return SystemModel(
-        n_x=dim,
-        n_z=1,
         transition=transition,
         measurement=measurement,
         transition_jacobian=transition_jacobian,
@@ -232,7 +240,7 @@ def simulate(
     measurements = model.measurement(states) + np.matmul(
         chol_r, measurement_noise[..., np.newaxis]
     )[..., 0]
-    return Trajectory(states=states, measurements=measurements, steps=steps)
+    return Trajectory(states=states, measurements=measurements)
 
 
 def _central_difference_jacobian(

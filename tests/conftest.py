@@ -13,8 +13,6 @@ def linear_model(F, Q, H, R) -> SystemModel:
     F = np.atleast_2d(np.asarray(F, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     return SystemModel(
-        n_x=F.shape[0],
-        n_z=H.shape[0],
         transition=lambda x, k: np.matmul(F, x[..., np.newaxis])[..., 0],
         measurement=lambda x: np.matmul(H, x[..., np.newaxis])[..., 0],
         transition_jacobian=lambda x, k: F,

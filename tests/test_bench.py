@@ -114,7 +114,7 @@ class TestNormalizeVsEkf:
     def test_failed_runs_excluded(self):
         records = [
             record("EKF", 10, 100.0, 1.0, run_index=0),
-            record("EKF", 10, float("nan"), 0.0, run_index=1, failed=True, error="boom"),
+            record("EKF", 10, float("nan"), 0.0, run_index=1, error="boom"),
             record("EDH", 10, 50.0, 2.0, run_index=0),
         ]
         table = normalize_vs_ekf(records)
@@ -380,7 +380,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(
             "pflow.bench.simulate",
             lambda model, x0, steps, rng: Trajectory(
-                states=np.zeros((steps, 1)), measurements=np.full((steps, 1), 1e200), steps=steps
+                states=np.zeros((steps, 1)), measurements=np.full((steps, 1), 1e200)
             ),
         )
         config = BenchConfig(

@@ -41,7 +41,6 @@ def scalar_unit_model(measurement_scale=1.0):
 def zero_measurement_model(n=2):
     F = 0.5 * np.eye(n)
     return SystemModel(
-        n_x=n, n_z=1,
         transition=lambda x, k: np.matmul(F, x[..., np.newaxis])[..., 0],
         measurement=lambda x: np.zeros(x.shape[:-1] + (1,)),
         transition_jacobian=lambda x, k: F,
@@ -221,7 +220,6 @@ class TestLedhUpdate:
             return base.measurement(x)
 
         m = SystemModel(
-            n_x=1, n_z=1,
             transition=base.transition,
             measurement=measurement,
             transition_jacobian=base.transition_jacobian,
@@ -247,7 +245,6 @@ class TestLedhUpdate:
 def assert_duplicated_row_matches_halved_r(variant, update):
     base = ungm_model()
     two_z = SystemModel(
-        n_x=1, n_z=2,
         transition=base.transition,
         measurement=lambda x: np.repeat(x ** 2 / 20.0, 2, axis=-1),
         transition_jacobian=base.transition_jacobian,
@@ -695,7 +692,7 @@ class TestRunFilter:
 
     def test_uninformative_measurements_leave_ensemble_alone(self):
         m = zero_measurement_model()
-        traj = Trajectory(states=np.zeros((3, 2)), measurements=np.zeros((3, 1)), steps=3)
+        traj = Trajectory(states=np.zeros((3, 2)), measurements=np.zeros((3, 1)))
         for variant in ("EDH", "LEDH", "A-EDH", "NA-EDH"):
             cfg = FilterConfig(variant=variant, particle_count=15, lambda_steps=4)
             rng = np.random.default_rng(6)
@@ -719,29 +716,45 @@ class TestRunFilter:
             return base.transition(x, k)
 
         m = SystemModel(
-            n_x=1, n_z=1,
             transition=transition,
             measurement=base.measurement,
             transition_jacobian=base.transition_jacobian,
             measurement_jacobian=base.measurement_jacobian,
             Q=base.Q, R=np.array([[r]]),
         )
-        traj = Trajectory(states=np.ones((3, 1)), measurements=np.ones((3, 1)), steps=3)
+        traj = Trajectory(states=np.ones((3, 1)), measurements=np.ones((3, 1)))
         cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2)
         with pytest.raises(ValueError, match="noise variance must be positive"):
             run_filter(m, traj, cfg, np.random.default_rng(0))
         assert steps_taken == []
 
+    @pytest.mark.parametrize("variant", ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"])
+    def test_nonsymmetric_process_noise_rejected_before_first_step(self, variant):
+        # The particles' noise factor would read the lower triangle, the
+        # identity here, while the EKF adds (Q + Q^T)/2.
+        base = linear_model(np.eye(2), [[1.0, 0.9], [0.0, 1.0]], [[1.0, 0.0]], [[1.0]])
+        steps_taken = []
+
+        def transition(x, k):
+            steps_taken.append(k)
+            return base.transition(x, k)
+
+        m = dataclasses.replace(base, transition=transition)
+        traj = Trajectory(states=np.ones((3, 2)), measurements=np.ones((3, 1)))
+        cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2)
+        with pytest.raises(ValueError, match="process noise covariance is not symmetric"):
+            run_filter(m, traj, cfg, np.random.default_rng(0))
+        assert steps_taken == []
+
     def test_divergence_reports_step_index(self):
         exploding = SystemModel(
-            n_x=1, n_z=1,
             transition=lambda x, k: x * 1e200,
             measurement=lambda x: x.copy(),
             transition_jacobian=lambda x, k: np.array([[1e200]]),
             measurement_jacobian=lambda x: np.eye(1),
             Q=np.eye(1), R=np.eye(1),
         )
-        traj = Trajectory(states=np.ones((4, 1)), measurements=np.ones((4, 1)), steps=4)
+        traj = Trajectory(states=np.ones((4, 1)), measurements=np.ones((4, 1)))
         cfg = FilterConfig(variant="EDH", particle_count=3, lambda_steps=2)
         with np.errstate(all="ignore"):
             with pytest.raises(FilterDivergenceError) as info:
@@ -757,7 +770,6 @@ class TestRunFilter:
         # H = [1, 0] and stays finite. The NaNs of that middle sub-map must
         # end the run at step 3: not as a LinAlgError, not as finite particles.
         m = SystemModel(
-            n_x=2, n_z=1,
             transition=lambda x, k: np.zeros_like(x),
             measurement=lambda x: x[..., :1] + 5.0 * x[..., 1:] ** 2,
             transition_jacobian=lambda x, k: np.zeros((2, 2)),
@@ -777,7 +789,7 @@ class TestRunFilter:
         assert np.isfinite(points[1]).all() and np.isnan(points[2]).all()
 
         monkeypatch.setattr("pflow.filters.ekf_predict", predict)
-        traj = Trajectory(states=np.zeros((5, 2)), measurements=np.full((5, 1), 5.0), steps=5)
+        traj = Trajectory(states=np.zeros((5, 2)), measurements=np.full((5, 1), 5.0))
         with pytest.raises(FilterDivergenceError) as info:
             run_filter(m, traj, cfg, np.random.default_rng(0))
         assert info.value.step == 3
@@ -790,14 +802,13 @@ class TestRunFilter:
             return np.array([[np.nan if k >= 3 else 0.5]])
 
         m = SystemModel(
-            n_x=1, n_z=1,
             transition=lambda x, k: 0.5 * x,
             measurement=lambda x: x.copy(),
             transition_jacobian=jacobian,
             measurement_jacobian=lambda x: np.eye(1),
             Q=np.eye(1), R=np.eye(1),
         )
-        traj = Trajectory(states=np.ones((5, 1)), measurements=np.ones((5, 1)), steps=5)
+        traj = Trajectory(states=np.ones((5, 1)), measurements=np.ones((5, 1)))
         with pytest.raises(FilterDivergenceError) as info:
             run_filter(m, traj, FilterConfig(variant="EKF"), np.random.default_rng(0))
         assert info.value.step == 3
@@ -806,7 +817,7 @@ class TestRunFilter:
     def test_rejects_nonsymmetric_initial_covariance(self, variant):
         # Cholesky reads one triangle; [[1, 5], [0, 1]] would factor as I.
         m = linear_model(np.eye(2), np.eye(2), [[1.0, 0.0]], [[1.0]])
-        traj = Trajectory(states=np.ones((2, 2)), measurements=np.ones((2, 1)), steps=2)
+        traj = Trajectory(states=np.ones((2, 2)), measurements=np.ones((2, 1)))
         cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2,
                            init_cov=np.array([[1.0, 5.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="symmetric positive definite"):

@@ -5,6 +5,7 @@ Derived expected values were computed with the independent oracles
 and the linear-Gaussian posterior) and frozen here.
 """
 
+import dataclasses
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import linear_model
+from pflow.filters import FilterConfig, aedh_update
 from pflow.flow_core import (
     FlowCoefficients,
     _assemble_coefficients,
@@ -426,9 +429,9 @@ class TestApplyFlow:
     @pytest.mark.parametrize("p", [-1.0, -2.0])
     def test_indefinite_coefficients_end_nonfinite(self, p):
         # k(1) = 0 and k(1) < 0 come only from a P that is not positive
-        # semidefinite along H. The map must return NaNs, which the
-        # filters report as divergence, instead of raising.
-        c = FlowCoefficients(np.eye(1), np.ones(1), 1.0, 2.0, np.zeros(1), np.ones(1), p)
+        # semidefinite along H, here P = [[p]]. The map must return NaNs,
+        # which the filters report as divergence, instead of raising.
+        c = FlowCoefficients(np.array([[p]]), np.ones(1), 1.0, 2.0, np.zeros(1))
         out = apply_flow_ensemble(c, np.array([[1.0], [-1.0]]), 1.0, 0.0)
         assert np.all(np.isnan(out))
 
@@ -601,6 +604,34 @@ class TestFlowMapIncrement:
                     for ph, value in zip(coeffs.Ph, row):
                         reference = Decimal(float(ph)) * (scale * h_x + c)
                         assert relative_error(value, reference) <= 1e-14, (lam0, lam)
+
+    # The same move through the filters' own kernel: A-EDH on a linear
+    # model with the bundle's P and H. The kernel maps from the float
+    # ensemble mean and sees the pseudo-measurement z - h(mean) + H mean,
+    # so the reference map is built from those two.
+    @pytest.mark.parametrize("seed, case", INCREMENT_CASES)
+    def test_filter_move_matches_reference(self, seed, case):
+        coeffs = increment_instance(seed, **case)
+        n = coeffs.P.shape[0]
+        model = linear_model(np.eye(n), np.eye(n), coeffs.H[np.newaxis, :], [[coeffs.r]])
+        _, _, c = reference_map_scalars(coeffs, 1.0, 0.0)
+        size = float(abs(c)) * np.abs(coeffs.Ph).min() or 1.0
+        X = np.sign(coeffs.xbar) * size * np.random.default_rng(7).uniform(0.5, 1.0, (4, n))
+        cfg = FilterConfig(variant="A-EDH", particle_count=4, lambda_steps=1)
+        move = aedh_update(X, coeffs.P, model, np.array([coeffs.z]), cfg) - X
+        if not coeffs.Ph.any():
+            assert np.array_equal(move, np.zeros_like(X))
+            return
+        mean = X.mean(axis=0)
+        z_lin = coeffs.z - model.measurement(mean)[0] + coeffs.H @ mean
+        _, scale, c = reference_map_scalars(dataclasses.replace(coeffs, z=z_lin, xbar=mean), 1.0, 0.0)
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            for x, row in zip(X, move):
+                h_x = sum(Decimal(float(a)) * Decimal(float(b)) for a, b in zip(coeffs.H, x))
+                for ph, value in zip(coeffs.Ph, row):
+                    reference = Decimal(float(ph)) * (scale * h_x + c)
+                    assert relative_error(value, reference) <= 1e-14
 
 
 class TestCommutativity:

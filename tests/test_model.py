@@ -159,7 +159,6 @@ class TestSimulate:
     def test_noise_free_follows_recursion(self):
         m = ungm_model()
         quiet = SystemModel(
-            n_x=1, n_z=1,
             transition=m.transition, measurement=m.measurement,
             transition_jacobian=m.transition_jacobian,
             measurement_jacobian=m.measurement_jacobian,
