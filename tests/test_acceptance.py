@@ -67,7 +67,7 @@ def test_criterion_1_commutativity():
                 normalized = commutator_norm(P, H, R, lam, tau) / (
                     1.0 + norms[lam] * norms[tau]
                 )
-                worst = max(worst, normalized)
+                worst = np.maximum(worst, normalized)
     elapsed = time.perf_counter() - start
     _report(
         1, "commutativity", worst <= 1e-10 and elapsed < 10.0,
@@ -84,7 +84,7 @@ def test_criterion_2_transition_matrix_vs_exponential():
         c = random_flow_instance(rng, dims[i % len(dims)])
         lam0, lam = random_interval(rng)
         integral = np.log(k_eval(c, lam0) / k_eval(c, lam)) / (2.0 * c.p) * c.M
-        worst = max(
+        worst = np.maximum(
             worst,
             relative_deviation(transition_matrix(c, lam, lam0), matrix_exponential(integral)),
         )
@@ -106,7 +106,7 @@ def test_criterion_3_psi_terms_vs_quadrature():
         for index in range(5):
             closed = psi_term(c, index, lam, lam0)
             oracle = quadrature_inhomogeneous(c, index, lam, lam0)
-            worst = max(worst, relative_deviation(closed, oracle))
+            worst = np.maximum(worst, relative_deviation(closed, oracle))
     elapsed = time.perf_counter() - start
     _report(
         3, "integrated offset terms vs quadrature", worst <= 1e-6 and elapsed < 60.0,
@@ -134,7 +134,7 @@ def test_criterion_4_flow_map_vs_rk4():
         numeric = integrate_flow_batch(coeffs, x0, np.array(lam0), np.array(lam), 10_000, "rk4")
         for row, c in enumerate(coeffs):
             phi, d = analytic_flow_map(c, lam[row], lam0[row])
-            worst = max(worst, relative_deviation(phi @ x0[row] + d, numeric[row]))
+            worst = np.maximum(worst, relative_deviation(phi @ x0[row] + d, numeric[row]))
     elapsed = time.perf_counter() - start
     _report(
         4, "analytic flow map vs RK4", worst <= 1e-6 and elapsed < 120.0,
@@ -151,8 +151,8 @@ def test_criterion_5_kalman_exactness():
         c = random_flow_instance(rng, dims[i % len(dims)])
         phi, d = analytic_flow_map(c, 1.0, 0.0)
         posterior = kalman_posterior(c.P, c.H, [[c.r]], [c.z], c.xbar)
-        worst_mean = max(worst_mean, relative_deviation(phi @ c.xbar + d, posterior.mean))
-        worst_cov = max(
+        worst_mean = np.maximum(worst_mean, relative_deviation(phi @ c.xbar + d, posterior.mean))
+        worst_cov = np.maximum(
             worst_cov, relative_deviation(phi @ c.P @ phi.T, posterior.covariance)
         )
 
@@ -182,7 +182,7 @@ def test_criterion_6_nstep_semigroup_consistency():
     for steps in (2, 10, 100):
         cfg = FilterConfig(variant="NA-EDH", particle_count=200, lambda_steps=steps)
         multi = naedh_update(ens, P, model, z, cfg)
-        worst = max(worst, float(np.max(np.abs(multi - single))))
+        worst = np.maximum(worst, float(np.max(np.abs(multi - single))))
     _report(
         6, "N-step semigroup consistency", worst <= 1e-10,
         f"max per-particle gap {worst:.3e} (tol 1e-10) across N in {{2, 10, 100}}",

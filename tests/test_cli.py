@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import pflow.flow_core
 from pflow.bench import BenchConfig
 from pflow.cli import _build_parser, main
 from pflow.model import ungm_model
@@ -49,6 +51,19 @@ class TestVerify:
         assert code == 0
         assert "all closed forms verified" in captured.out
         assert captured.out.count("OK") >= 6
+
+    def test_nan_deviation_fails(self, monkeypatch, capsys):
+        real = pflow.flow_core.transition_matrix
+        monkeypatch.setattr(
+            pflow.flow_core, "transition_matrix", lambda *args: real(*args) * math.nan
+        )
+        code = main(["verify", "--instances", "3", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "verification FAILED" in captured.out
+        lines = {line.split()[0]: line for line in captured.out.splitlines() if "deviation" in line}
+        for name in ("phi_vs_matrix_exponential", "flow_map_vs_rk4", "kalman_mean", "kalman_covariance"):
+            assert "= nan" in lines[name] and lines[name].endswith("FAIL"), lines[name]
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_instance_count_is_a_usage_error(self, count, capsys):

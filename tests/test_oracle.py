@@ -1,13 +1,20 @@
 """Tests for the independent numerical validators."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pflow.flow_core
+import pflow.oracle
 from pflow.ekf import GaussianBelief
-from pflow.flow_core import build_coefficients, drift_matrix_A, drift_vector_b
+from pflow.flow_core import analytic_flow_map, build_coefficients, drift_matrix_A, drift_vector_b
 from pflow.oracle import (
     FLOW_TABLE_STEPS,
     commutator_norm,
+    embed_flow_instance,
     integrate_flow_batch,
     kalman_posterior,
     matrix_exponential,
@@ -246,3 +253,108 @@ class TestVerifySuite:
     def test_rejects_a_pass_that_checks_nothing(self, count):
         with pytest.raises(ValueError, match="n_instances"):
             verify_closed_forms(n_instances=count, seed=7, rk4_steps=10)
+
+    def test_returns_plain_floats(self):
+        results = verify_closed_forms(n_instances=2, seed=3, rk4_steps=10)
+        assert all(type(value) is float for value in results.values())
+
+    def test_nan_deviation_is_reported(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a running max() would report a NaN closed form as exact.
+        real = pflow.flow_core.transition_matrix
+        monkeypatch.setattr(
+            pflow.flow_core, "transition_matrix", lambda *args: real(*args) * math.nan
+        )
+        results = verify_closed_forms(n_instances=3, seed=0, rk4_steps=100)
+        poisoned = {"phi_vs_matrix_exponential", "flow_map_vs_rk4", "kalman_mean", "kalman_covariance"}
+        for name, value in results.items():
+            assert math.isnan(value) == (name in poisoned), name
+
+
+def per_dimension_rk4(instances, rng, steps):
+    """The flow-map oracle as one RK4 call per dimension, rows grouped by
+    dimension in first-seen order: (x0 row, result row) per instance."""
+    by_dim = {}
+    for item in instances:
+        by_dim.setdefault(item[0].P.shape[0], []).append(item)
+    rows = []
+    for n, group in by_dim.items():
+        coeffs_list = [c for c, _, _ in group]
+        x0 = np.stack([c.xbar + rng.standard_normal(n) for c in coeffs_list])
+        lam0 = np.array([l0 for _, l0, _ in group])
+        lam = np.array([l1 for _, _, l1 in group])
+        rows += zip(x0, integrate_flow_batch(coeffs_list, x0, lam0, lam, steps))
+    return rows
+
+
+class TestVerifyFlowMapPass:
+    """The pass's one embedded RK4 call against the per-dimension calls."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_instances", [1, 2, 6, 13])
+    def test_matches_per_dimension_calls(self, monkeypatch, n_instances, seed):
+        instances, calls, state = [], [], {}
+        real_instance = pflow.oracle.random_flow_instance
+        real_interval = pflow.oracle.random_interval
+
+        def instance(rng, n):
+            instances.append((real_instance(rng, n),))
+            return instances[-1][0]
+
+        def interval(rng):
+            lam0, lam = real_interval(rng)
+            instances[-1] += (lam0, lam)
+            state["before_x0"] = rng.bit_generator.state  # the last draw before the x0 rows
+            return lam0, lam
+
+        def batch(*args):
+            calls.append((args, integrate_flow_batch(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(pflow.oracle, "random_flow_instance", instance)
+        monkeypatch.setattr(pflow.oracle, "random_interval", interval)
+        monkeypatch.setattr(pflow.oracle, "integrate_flow_batch", batch)
+        verify_closed_forms(n_instances=n_instances, seed=seed, rk4_steps=200)
+
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state["before_x0"]
+        reference = per_dimension_rk4(instances, rng, 200)
+        assert len(calls) == 1
+        (_, x0, _, _, _), numeric = calls[0]
+        assert numeric.shape == (n_instances, max(c.P.shape[0] for c, _, _ in instances))
+        for row, (ref_x0, ref_out) in enumerate(reference):
+            n = ref_x0.size
+            assert np.array_equal(x0[row, :n], ref_x0)
+            assert np.array_equal(x0[row, n:], np.zeros(x0.shape[1] - n))
+            assert relative_deviation(numeric[row, :n], ref_out) < 1e-13
+            assert np.array_equal(numeric[row, n:], np.zeros(x0.shape[1] - n))
+        if len({c.P.shape[0] for c, _, _ in instances}) == 1:
+            assert np.array_equal(numeric, np.stack([out for _, out in reference]))
+
+
+class TestEmbedFlowInstance:
+    # The embedded bundle's P H^T and H P H^T are dot products over padded
+    # rows, which may round differently from the original's.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(1, 13).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 13))),
+        log_ratio=st.floats(-8.0, 12.0),
+        lams=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    )
+    def test_map_is_block_diagonal(self, seed, dims, log_ratio, lams):
+        n, n_max = dims
+        lam0, lam = lams
+        base = random_flow_instance(np.random.default_rng(seed), n)
+        c = build_coefficients(base.P, base.H, base.p / 10.0 ** log_ratio, base.z, base.xbar)
+        phi, d = analytic_flow_map(c, lam, lam0)
+        expected_phi = np.eye(n_max)
+        expected_phi[:n, :n] = phi
+        expected_d = np.zeros(n_max)
+        expected_d[:n] = d
+
+        phi_e, d_e = analytic_flow_map(embed_flow_instance(c, n_max), lam, lam0)
+        assert np.max(np.abs(phi_e - expected_phi)) <= 1e-14 * np.max(np.abs(expected_phi))
+        assert np.max(np.abs(d_e - expected_d)) <= 1e-14 * np.max(np.abs(expected_d))
+        assert np.array_equal(phi_e[n:], expected_phi[n:])
+        assert np.array_equal(phi_e[:, n:], expected_phi[:, n:])
+        assert np.array_equal(d_e[n:], expected_d[n:])
