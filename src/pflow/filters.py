@@ -23,7 +23,8 @@ and are never resampled.
 EDH and LEDH share flow_core's one Euler drift for every measurement
 dimension. EDH forms P H^T and S = lambda H P H^T + R once per
 pseudo-time step and builds both the drift matrix A and the offset b
-from them. LEDH forms H and P H^T particle by particle, then evaluates h
+from them. LEDH calls the measurement Jacobian particle by particle, as
+the model protocol asks (a single state per call), then forms P H^T, h
 and the drift once over the stack of per-particle linearizations.
 
 A-EDH and NA-EDH share `_analytic_flow`. Each closed-form sub-map is
@@ -186,20 +187,20 @@ def ledh_update(
 
     Identical to edh_update except that the measurement function is
     linearized at each particle's current position, so every particle
-    sees its own drift. The Jacobian and P H^T are formed particle by
-    particle; h and the drift are evaluated once over the stack.
+    sees its own drift. Only the Jacobian is called particle by particle;
+    P H^T is one stacked product, and h and the drift are evaluated once
+    over the stack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = _lambda_points(config.lambda_steps)
     X = particles
     xbar0 = _ensemble_mean(X)
     H = np.empty((X.shape[0], model.n_z, model.n_x))
-    PHt = np.empty((X.shape[0], model.n_x, model.n_z))
 
     for lam0, lam in zip(grid, grid[1:]):
         for i, x in enumerate(X):
             H[i] = model.measurement_jacobian(x)
-            PHt[i] = P_pred @ H[i].T
+        PHt = np.matmul(P_pred, np.swapaxes(H, -1, -2))
         Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
         z_lin = _linearized_measurement(z, model.measurement(X), Hx)
         S = _drift_S(PHt, H, model.R, lam)

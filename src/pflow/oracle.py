@@ -166,6 +166,10 @@ def _adaptive_simpson(
         )
         if err <= tol:
             return left + right + delta / 15.0
+        # A nonfinite panel never converges (nan <= tol is false); its
+        # integral is NaN, which every deviation check rejects.
+        if not np.isfinite(left + right).all():
+            return np.full_like(whole, np.nan)
         if depth >= QUADRATURE_MAX_DEPTH:
             raise RuntimeError(
                 f"quadrature subdivision limit ({QUADRATURE_MAX_DEPTH}) exceeded on [{a}, {b}]"
@@ -202,6 +206,7 @@ def quadrature_inhomogeneous(
     """Adaptive quadrature of Phi(lam, tau) times the index-th offset term.
 
     This is the independent route to the closed-form psi_term values.
+    A nonfinite integrand gives an all-NaN result.
 
     Raises:
         ValueError: For an index outside 0..4.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pflow.flow_core
+import pflow.oracle
 from pflow.bench import BenchConfig
 from pflow.cli import _build_parser, main
 from pflow.model import ungm_model
@@ -64,6 +65,16 @@ class TestVerify:
         lines = {line.split()[0]: line for line in captured.out.splitlines() if "deviation" in line}
         for name in ("phi_vs_matrix_exponential", "flow_map_vs_rk4", "kalman_mean", "kalman_covariance"):
             assert "= nan" in lines[name] and lines[name].endswith("FAIL"), lines[name]
+
+    def test_nan_quadrature_fails(self, monkeypatch, capsys):
+        real = pflow.oracle._offset_term
+        monkeypatch.setattr(pflow.oracle, "_offset_term", lambda *args: real(*args) * math.nan)
+        code = main(["verify", "--instances", "3", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "verification FAILED" in captured.out
+        lines = {line.split()[0]: line for line in captured.out.splitlines() if "deviation" in line}
+        assert "= nan" in lines["psi_vs_quadrature"] and lines["psi_vs_quadrature"].endswith("FAIL")
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_instance_count_is_a_usage_error(self, count, capsys):

@@ -24,6 +24,8 @@ from pflow.filters import (
     run_filter,
 )
 from pflow.flow_core import (
+    _drift_S,
+    _euler_drift,
     analytic_flow_map,
     build_coefficients,
     drift_matrix_A,
@@ -240,6 +242,75 @@ class TestLedhUpdate:
 
     def test_edh_general_measurement_path_matches_scalar_path(self):
         assert_duplicated_row_matches_halved_r("EDH", edh_update)
+
+
+def ledh_per_particle_reference(particles, P, model, z, steps):
+    """ledh_update with H and P H^T both formed particle by particle: the
+    reference that the stacked P H^T must match bit for bit."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    grid = _lambda_points(steps)
+    X = particles
+    xbar0 = X.sum(axis=0) / X.shape[0]
+    H = np.empty((X.shape[0], model.n_z, model.n_x))
+    PHt = np.empty((X.shape[0], model.n_x, model.n_z))
+    for lam0, lam in zip(grid, grid[1:]):
+        for i, x in enumerate(X):
+            H[i] = model.measurement_jacobian(x)
+            PHt[i] = P @ H[i].T
+        Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
+        z_lin = z - model.measurement(X) + Hx
+        S = _drift_S(PHt, H, model.R, lam)
+        X = X + _euler_drift(PHt, S, H, model.R, z_lin, xbar0, Hx) * (lam - lam0)
+    return X
+
+
+def ledh_case(kind, size, seed):
+    """A model, ensemble, covariance and measurement for the LEDH loop checks:
+    UNGM at N=100, an x.x measurement at n = size, or a linear one at n_z = size."""
+    rng = np.random.default_rng(seed)
+    if kind == "ungm":
+        m = ungm_model()
+        ens = rng.standard_normal((100, 1)) * 3.0 + 1.0
+        return m, ens, np.array([[rng.uniform(0.5, 5.0)]]), np.array([rng.uniform(-2.0, 8.0)])
+    if kind == "quadratic":
+        m = random_coupled_model(size, rng)
+        return m, rng.standard_normal((40, size)) + 0.5, random_spd(rng, size), np.array([2.0 * size])
+    m = linear_model(np.eye(4), np.eye(4), rng.standard_normal((size, 4)), random_spd(rng, size))
+    return m, rng.standard_normal((30, 4)), random_spd(rng, 4), rng.standard_normal(size)
+
+
+class TestLedhStackedProduct:
+    # numpy runs the stacked P H^T as the same BLAS call per particle that
+    # P_pred @ H[i].T makes, so the hoisted product changes no bit.
+    @pytest.mark.parametrize(
+        "kind, size, seed",
+        [("ungm", 1, seed) for seed in range(5)]
+        + [("quadratic", 5, 3), ("quadratic", 20, 3), ("linear", 2, 3), ("linear", 3, 3)],
+    )
+    def test_equals_per_particle_loop(self, kind, size, seed):
+        m, ens, P, z = ledh_case(kind, size, seed)
+        cfg = FilterConfig(variant="LEDH", particle_count=ens.shape[0], lambda_steps=10)
+        out = ledh_update(ens, P, m, z, cfg)
+        assert np.array_equal(out, ledh_per_particle_reference(ens, P, m, z, 10))
+
+    @pytest.mark.parametrize("kind, size", [("ungm", 1), ("quadratic", 5), ("linear", 3)])
+    def test_one_single_state_jacobian_call_per_particle_and_step(self, kind, size):
+        m, ens, P, z = ledh_case(kind, size, 0)
+        points = []
+        cfg = FilterConfig(variant="LEDH", particle_count=ens.shape[0], lambda_steps=4)
+        ledh_update(ens, P, recording_jacobian(m, points), z, cfg)
+        assert len(points) == ens.shape[0] * 4
+        assert all(x.shape == (m.n_x,) for x in points)
+        assert np.array_equal(np.stack(points[: ens.shape[0]]), ens)
+
+    @pytest.mark.parametrize("kind, size", [("ungm", 1), ("quadratic", 5)])
+    def test_row_jacobian_for_scalar_measurement_is_accepted(self, kind, size):
+        # A Jacobian of shape (n_x,) for n_z = 1 broadcasts into its (1, n_x) slot.
+        m, ens, P, z = ledh_case(kind, size, 1)
+        row = dataclasses.replace(m, measurement_jacobian=lambda x: np.ravel(m.measurement_jacobian(x)))
+        assert row.measurement_jacobian(ens[0]).shape == (m.n_x,)
+        cfg = FilterConfig(variant="LEDH", particle_count=ens.shape[0], lambda_steps=10)
+        assert np.array_equal(ledh_update(ens, P, row, z, cfg), ledh_update(ens, P, m, z, cfg))
 
 
 def assert_duplicated_row_matches_halved_r(variant, update):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import pflow.flow_core
 import pflow.oracle
 from pflow.ekf import GaussianBelief
-from pflow.flow_core import analytic_flow_map, build_coefficients, drift_matrix_A, drift_vector_b
+from pflow.flow_core import (
+    FlowCoefficients,
+    analytic_flow_map,
+    build_coefficients,
+    drift_matrix_A,
+    drift_vector_b,
+)
 from pflow.oracle import (
     FLOW_TABLE_STEPS,
     commutator_norm,
@@ -185,6 +191,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature_inhomogeneous(scalar_z2, 7, 1.0, 0.0)
 
+    def test_nan_integrand_gives_nan_not_a_subdivision_error(self):
+        # nan <= tol is false at every level, so without a finiteness check
+        # the recursion halves down to the depth limit and raises.
+        c = FlowCoefficients(np.eye(2), np.array([1.0, 0.5]), 1.0, math.nan, np.zeros(2))
+        out = quadrature_inhomogeneous(c, 0, 1.0, 0.0)
+        assert out.shape == (2,) and np.isnan(out).all()
+
 
 class TestKalmanPosterior:
     def test_scalar_fixture(self):
@@ -268,6 +281,13 @@ class TestVerifySuite:
         poisoned = {"phi_vs_matrix_exponential", "flow_map_vs_rk4", "kalman_mean", "kalman_covariance"}
         for name, value in results.items():
             assert math.isnan(value) == (name in poisoned), name
+
+    def test_nan_quadrature_is_reported(self, monkeypatch):
+        real = pflow.oracle._offset_term
+        monkeypatch.setattr(pflow.oracle, "_offset_term", lambda *args: real(*args) * math.nan)
+        results = verify_closed_forms(n_instances=3, seed=0, rk4_steps=100)
+        for name, value in results.items():
+            assert math.isnan(value) == (name == "psi_vs_quadrature"), name
 
 
 def per_dimension_rk4(instances, rng, steps):
