@@ -22,9 +22,9 @@ from .model import SystemModel, random_coupled_model, simulate, ungm_model
 
 Array = np.ndarray
 
-# LEDH at dim 100 with 500 particles takes about 2-2.6 s per run, three to
-# four times EDH, and adds about a third to the default sweep; the default
-# sweep trims it and the full sweep is opt-in.
+# LEDH at dim 100 with 500 particles takes about 1.6-2.8 s per run, two to
+# three times EDH, and adds 50-70% to the default sweep; the default sweep
+# trims it and the full sweep is opt-in.
 _LEDH_TRIM_DIM = 100
 _LEDH_TRIM_PARTICLES = 100
 

@@ -24,8 +24,9 @@ EDH and LEDH share flow_core's one Euler drift for every measurement
 dimension. EDH forms P H^T and S = lambda H P H^T + R once per
 pseudo-time step and builds both the drift matrix A and the offset b
 from them. LEDH calls the measurement Jacobian particle by particle, as
-the model protocol asks (a single state per call), then forms P H^T, h
-and the drift once over the stack of per-particle linearizations.
+the model protocol asks (a single state per call), then forms P H^T for
+the whole ensemble in one matrix product and evaluates h and the drift
+once over the stack of per-particle linearizations.
 
 A-EDH and NA-EDH share `_analytic_flow`. Each closed-form sub-map is
 affine, so the mean is carried through the sub-maps alone to
@@ -187,9 +188,10 @@ def ledh_update(
 
     Identical to edh_update except that the measurement function is
     linearized at each particle's current position, so every particle
-    sees its own drift. Only the Jacobian is called particle by particle;
-    P H^T is one stacked product, and h and the drift are evaluated once
-    over the stack.
+    sees its own drift. Only the Jacobian is called particle by particle.
+    P H^T is one (N n_z, n_x) x (n_x, n_x) product for the ensemble,
+    whose row block i is (P H_i^T)^T for any P, symmetric or not; h and
+    the drift are evaluated once over the stack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = _lambda_points(config.lambda_steps)
@@ -200,7 +202,7 @@ def ledh_update(
     for lam0, lam in zip(grid, grid[1:]):
         for i, x in enumerate(X):
             H[i] = model.measurement_jacobian(x)
-        PHt = np.matmul(P_pred, np.swapaxes(H, -1, -2))
+        PHt = np.swapaxes((H.reshape(-1, model.n_x) @ P_pred.T).reshape(H.shape), -1, -2)
         Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
         z_lin = _linearized_measurement(z, model.measurement(X), Hx)
         S = _drift_S(PHt, H, model.R, lam)

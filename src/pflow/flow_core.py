@@ -135,11 +135,16 @@ def _check_interval(lam: float, lam0: float) -> None:
         )
 
 
-def _solve_S(S: Array, B: Array) -> Array:
-    """S^-1 B for one S or a stack; a 1x1 S divides (np.linalg.solve costs ~10 us)."""
+def _times_S_inverse(L: Array, S: Array, B: Array) -> Array:
+    """L S^-1 B for one S or a stack, L (..., m, n_z) and B (..., n_z, k).
+
+    A 1x1 S divides (np.linalg.solve costs ~10 us), and both products then
+    have inner dimension 1: one term each, so a broadcast multiply gives
+    np.matmul's values bit for bit without one BLAS call per matrix.
+    """
     if S.shape[-1] == 1:
-        return B / S
-    return np.linalg.solve(S, B)
+        return L * (B / S)
+    return L @ np.linalg.solve(S, B)
 
 
 def _drift_S(PHt: Array, H: Array, R: Array, lam: float) -> Array:
@@ -149,7 +154,7 @@ def _drift_S(PHt: Array, H: Array, R: Array, lam: float) -> Array:
 
 def _drift_matrix(PHt: Array, S: Array, H: Array) -> Array:
     """A = -1/2 P H^T S^-1 H from P H^T and S."""
-    return -0.5 * PHt @ _solve_S(S, H)
+    return _times_S_inverse(-0.5 * PHt, S, H)
 
 
 def drift_matrix_A(P: Array, H: Array, R: Array, lam: float) -> Array:
@@ -172,11 +177,13 @@ def _euler_drift(PHt: Array, S: Array, H: Array, R: Array, z: Array, xbar: Array
     rearranged: as written, that product cancels terms growing like
     H P H^T / R (off by ~1e-2 at 1e12); this form loses a few eps cond(S).
     PHt is (..., n_x, n_z), H (..., n_z, n_x), S = `_drift_S` (..., n_z, n_z),
-    z and Hx = H x (..., n_z); Hx = 0 gives b alone.
+    z and Hx = H x (..., n_z); Hx = 0 gives b alone. Both products with
+    S^-1 go through `_times_S_inverse`, so a stack of single measurement
+    rows costs broadcast multiplies, not one small matmul per particle.
     """
     innovation = (z - H @ xbar)[..., np.newaxis]
-    v = (z - Hx)[..., np.newaxis] + R @ _solve_S(S, innovation)
-    return 0.5 * (PHt @ _solve_S(S, v))[..., 0]
+    v = (z - Hx)[..., np.newaxis] + _times_S_inverse(R, S, innovation)
+    return 0.5 * _times_S_inverse(PHt, S, v)[..., 0]
 
 
 def drift_vector_b(P: Array, H: Array, R: Array, z: Array, xbar: Array, lam: float) -> Array:

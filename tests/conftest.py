@@ -20,3 +20,9 @@ def linear_model(F, Q, H, R) -> SystemModel:
         Q=np.atleast_2d(np.asarray(Q, dtype=float)),
         R=np.atleast_2d(np.asarray(R, dtype=float)),
     )
+
+
+def matmul_times_S_inverse(L, S, B):
+    """L S^-1 B as the drift helpers formed it with np.matmul: a 1x1 S
+    divides, a larger one goes through np.linalg.solve."""
+    return L @ (B / S if S.shape[-1] == 1 else np.linalg.solve(S, B))

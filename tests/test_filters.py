@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_model
+from conftest import linear_model, matmul_times_S_inverse
 from pflow import ekf as ekf_module
+from pflow import flow_core
+from pflow.bench import BenchConfig, run_benchmark
 from pflow.ekf import GaussianBelief, ekf_predict, ekf_update
 from pflow.filters import (
     _COMPOSE_BLOCK,
@@ -246,7 +248,7 @@ class TestLedhUpdate:
 
 def ledh_per_particle_reference(particles, P, model, z, steps):
     """ledh_update with H and P H^T both formed particle by particle: the
-    reference that the stacked P H^T must match bit for bit."""
+    reference for the ensemble's one P H^T product."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = _lambda_points(steps)
     X = particles
@@ -280,8 +282,10 @@ def ledh_case(kind, size, seed):
 
 
 class TestLedhStackedProduct:
-    # numpy runs the stacked P H^T as the same BLAS call per particle that
-    # P_pred @ H[i].T makes, so the hoisted product changes no bit.
+    # P H^T for the ensemble is one GEMM, rows H_i P^T, where the reference
+    # makes one P @ H[i].T per particle. At n_x = 1 both are products with
+    # one term and agree bit for bit; at n_x > 1 they sum in another order
+    # and agree to round-off (2.3e-16 relative at most, measured).
     @pytest.mark.parametrize(
         "kind, size, seed",
         [("ungm", 1, seed) for seed in range(5)]
@@ -291,7 +295,23 @@ class TestLedhStackedProduct:
         m, ens, P, z = ledh_case(kind, size, seed)
         cfg = FilterConfig(variant="LEDH", particle_count=ens.shape[0], lambda_steps=10)
         out = ledh_update(ens, P, m, z, cfg)
-        assert np.array_equal(out, ledh_per_particle_reference(ens, P, m, z, 10))
+        reference = ledh_per_particle_reference(ens, P, m, z, 10)
+        if m.n_x == 1:
+            assert np.array_equal(out, reference)
+        else:
+            assert relative_deviation(out, reference) <= 1e-14
+
+    @pytest.mark.parametrize("kind, size", [("quadratic", 5), ("linear", 3)])
+    def test_nonsymmetric_covariance_keeps_orientation(self, kind, size):
+        # The GEMM forms H_i P^T, so a P that is not symmetric must still
+        # give P H_i^T, as the per-particle reference does, and not P^T H_i^T.
+        m, ens, P, z = ledh_case(kind, size, 4)
+        skew = np.random.default_rng(4).standard_normal(P.shape)
+        P = P + 0.3 * (skew - skew.T)
+        cfg = FilterConfig(variant="LEDH", particle_count=ens.shape[0], lambda_steps=10)
+        reference = ledh_per_particle_reference(ens, P, m, z, 10)
+        assert relative_deviation(ledh_update(ens, P, m, z, cfg), reference) <= 1e-14
+        assert relative_deviation(ledh_update(ens, P.T, m, z, cfg), reference) > 1e-6
 
     @pytest.mark.parametrize("kind, size", [("ungm", 1), ("quadratic", 5), ("linear", 3)])
     def test_one_single_state_jacobian_call_per_particle_and_step(self, kind, size):
@@ -661,6 +681,27 @@ class TestWholeRunInvariants:
         exact = estimates(m, traj, "A-EDH")
         gaps = [np.abs(estimates(m, traj, "EDH", steps) - exact).max() for steps in (10, 100, 1000)]
         assert gaps[0] > 5.0 * gaps[1] > 25.0 * gaps[2]
+
+
+class TestSingleRowDriftMatchesMatmulForms:
+    # With one measurement row the drift helpers multiply where np.matmul
+    # made products with inner dimension 1. Those have one term, so whole
+    # runs give the RMSEs of the matmul forms to the last bit.
+    @pytest.mark.parametrize("model, dims", [("coupled", (100,)), ("ungm", (1,))])
+    def test_whole_run_rmse_is_bit_identical(self, model, dims, monkeypatch):
+        config = BenchConfig(
+            model=model, dims=dims, particle_counts=(100,), mc_runs=1, trajectory_steps=20,
+            master_seed=57, filters=("EKF", "EDH", "A-EDH", "NA-EDH"), no_timing=True,
+        )
+
+        def rmse_hex():
+            records = run_benchmark(config)
+            assert not any(r.failed for r in records)
+            return [(r.filter, r.rmse.hex()) for r in records]
+
+        broadcast = rmse_hex()
+        monkeypatch.setattr(flow_core, "_times_S_inverse", matmul_times_S_inverse)
+        assert rmse_hex() == broadcast
 
 
 class TestSampleCovarianceConvergence:

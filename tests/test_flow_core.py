@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_model
+from conftest import linear_model, matmul_times_S_inverse
 from pflow.filters import FilterConfig, aedh_update
 from pflow.flow_core import (
     FlowCoefficients,
     _assemble_coefficients,
     _map_scalars,
+    _times_S_inverse,
     analytic_flow_map,
     apply_flow_ensemble,
     build_coefficients,
@@ -186,6 +187,33 @@ class TestDriftVector:
         exact = exact_nested_offset(P, H, R, z, xbar, lam)
         error = np.abs(drift_vector_b(P, H, R, z, xbar, lam) - exact).max() / np.abs(exact).max()
         assert error <= max(1e-12, 10.0 * np.finfo(float).eps * np.linalg.cond(lam * (H @ P @ H.T) + R))
+
+
+class TestTimesSInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 120),
+        n_z=st.integers(1, 3),
+        stack=st.one_of(st.none(), st.integers(1, 50)),
+        full_width=st.booleans(),
+    )
+    def test_matches_matmul_form(self, seed, n_x, n_z, stack, full_width):
+        # 2-D operands are EDH's, stacks of N are LEDH's; B has n_x columns
+        # (the drift matrix's H) or one (the drift vector's v).
+        rng = np.random.default_rng(seed)
+        lead = () if stack is None else (stack,)
+        L = rng.standard_normal(lead + (n_x, n_z)) * 10.0 ** rng.uniform(-6, 6)
+        A = rng.standard_normal(lead + (n_z, n_z))
+        S = A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(n_z)
+        B = rng.standard_normal(lead + (n_z, n_x if full_width else 1))
+        out = _times_S_inverse(L, S, B)
+        reference = matmul_times_S_inverse(L, S, B)
+        assert out.shape == reference.shape
+        if n_z == 1:
+            assert np.array_equal(out, reference)
+        else:
+            assert np.max(np.abs(out - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 def _exact(M):
