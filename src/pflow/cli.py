@@ -32,7 +32,7 @@ from .bench import (
 )
 from .filters import FILTER_NAMES
 from .model import simulate
-from .oracle import ORACLE_TOLERANCES, verify_closed_forms
+from .oracle import ORACLE_TOLERANCES, worst_deviations
 
 SEED_ENV_VAR = "PFLOW_SEED"
 # BLAS/OpenMP thread settings recorded in metadata.json (null when unset).
@@ -139,14 +139,14 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_closed_forms(n_instances=args.instances, seed=args.seed)
+    results = worst_deviations(n_instances=args.instances, seed=args.seed)
     status = 0
-    for name, value in results.items():
+    for name, worst in results.items():
         tolerance = ORACLE_TOLERANCES[name]
-        ok = value <= tolerance
+        ok = worst.deviation <= tolerance
         status = status if ok else 1
-        print(f"{name:<28} max deviation = {value:.3e}  (tolerance {tolerance:.0e})  "
-              f"{'OK' if ok else 'FAIL'}")
+        print(f"{name:<28} max deviation = {worst.deviation:.3e}  (tolerance {tolerance:.0e})  "
+              f"at {worst.where()}  {'OK' if ok else 'FAIL'}")
     print("all closed forms verified" if status == 0 else "verification FAILED")
     return status
 

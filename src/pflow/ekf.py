@@ -5,12 +5,14 @@ predicted covariance the flow drift needs, and doubles as the baseline
 estimator in the benchmarks.
 
 A scalar measurement makes S = H P H^T + R 1x1, and a 1-D state the
-covariance. `_cholesky` and `_whiten` decide that case by shape and skip
-LAPACK there (a 1x1 call costs ~7 us of wrapper overhead): the factor is
-the square root, and the solve multiplies by the factor's reciprocal,
-which is what OpenBLAS's solve computes. So the results equal np.linalg's
-bit for bit; dividing instead would round differently in about half the
-cases.
+covariance. The helpers below decide that case by shape and do only the
+arithmetic np.linalg and np.matmul would, without their per-call
+overhead (a 1x1 LAPACK call costs ~7 us): `_cholesky` takes the square
+root, `_whiten` multiplies by the factor's reciprocal, which is what
+OpenBLAS's solve computes (dividing would round differently in about half
+the cases), and `_update_products` forms W^T e and W^T W as broadcast
+products, since with inner dimension 1 each entry has one term. So every
+result equals the general path's bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ def _whiten(L: Array, B: Array) -> Array:
     return np.linalg.solve(L, B)
 
 
+def _update_products(W: Array, e: Array) -> tuple[Array, Array]:
+    """W^T e and W^T W; a single measurement row multiplies by broadcasting."""
+    if W.shape[0] == 1:
+        return W[0] * e, W.T * W
+    return W.T @ e, W.T @ W
+
+
 _PD_JITTER = 1e-12
 
 
@@ -112,10 +121,7 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
     (Bierman 1977): O(n_x^2 n_z) work, one formula for every n_z, and an
     exactly symmetric result when P is. The result still passes through
     `_ensure_positive_definite`, because the subtraction can round a
-    near-singular posterior to a slightly indefinite one. For a scalar
-    measurement `_cholesky` and `_whiten` factor S and whiten without
-    LAPACK, multiplying by 1 / sqrt(S) rather than dividing, so that the
-    result equals np.linalg's bit for bit.
+    near-singular posterior to a slightly indefinite one.
 
     Raises:
         np.linalg.LinAlgError: If the innovation covariance is not
@@ -135,8 +141,9 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
         ) from exc
 
     innovation = z - model.measurement(belief.mean)
-    whitened = _whiten(L, np.column_stack((HP, innovation)))
+    whitened = _whiten(L, np.concatenate((HP, innovation[:, np.newaxis]), axis=1))
     W, e = whitened[:, :-1], whitened[:, -1]
-    mean = belief.mean + W.T @ e
-    covariance = _ensure_positive_definite(P - W.T @ W)
+    mean_shift, covariance_drop = _update_products(W, e)
+    mean = belief.mean + mean_shift
+    covariance = _ensure_positive_definite(P - covariance_drop)
     return GaussianBelief(mean=mean, covariance=covariance)

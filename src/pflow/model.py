@@ -213,8 +213,13 @@ def simulate(
     x_k = g(x_{k-1}, k) + w_k and z_k = h(x_k) + v_k for k = 1..steps,
     with the time index of the first transition being 1. Deterministic
     for a fixed rng state. The noise is drawn in one block in the order
-    w_1, v_1, w_2, v_2, ..., and the measurements are taken in one
-    stacked call after the state recursion.
+    w_1, v_1, w_2, v_2, ...
+
+    The recursion does only per-step work: transition, add, store. The
+    kicks chol(Q) w_k are formed before it in one stacked product, and the
+    measurements in one stacked call after it; a stacked product makes
+    the same per-row matrix-vector product as chol(Q) @ w_k, so the
+    trajectory is bit-identical to a step-by-step one.
 
     Args:
         model: The system to simulate.
@@ -232,10 +237,11 @@ def simulate(
     noise = rng.standard_normal((steps, model.n_x + model.n_z))
     state_noise, measurement_noise = noise[:, : model.n_x], noise[:, model.n_x :]
 
+    kicks = np.matmul(chol_q, state_noise[..., np.newaxis])[..., 0]
     states = np.zeros((steps, model.n_x))
     x = x0
     for k in range(1, steps + 1):
-        x = model.transition(x, k) + chol_q @ state_noise[k - 1]
+        x = model.transition(x, k) + kicks[k - 1]
         states[k - 1] = x
     measurements = model.measurement(states) + np.matmul(
         chol_r, measurement_noise[..., np.newaxis]

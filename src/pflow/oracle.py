@@ -12,6 +12,7 @@ instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,9 +73,13 @@ def integrate_flow_batch(
     and b(lambda) = w + beta(lambda) Ph, with per-row scalars a and beta.
     Both are tabulated for FLOW_TABLE_STEPS steps at a time (left, mid
     and right RK4 points, left only for Euler), so the tables hold
-    O(FLOW_TABLE_STEPS * N) floats whatever the step count, and the
-    per-step loop is left with the right-hand sides, each one row-wise
-    dot product and an O(n) update per instance.
+    O(FLOW_TABLE_STEPS * N) floats whatever the step count.
+
+    The per-step loop does only per-step work: the right-hand sides, each
+    one row-wise dot product, and an O(n) update per instance. The step
+    sizes h, h/2 and h/6 are broadcast to the state's shape once per call,
+    and the stages are doubled by addition (k + k equals 2.0 * k exactly),
+    so every value is the classical stage formula's, bit for bit.
 
     Raises:
         ValueError: For steps < 1, an unknown method, x0_rows not of
@@ -120,26 +125,27 @@ def integrate_flow_batch(
     def rhs(a: Array, beta: Array, X: Array) -> Array:
         return (a * (X @ H_col) + beta) * Ph + w
 
-    h = (lam1 - lam0) / steps
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
+    step = (lam1 - lam0) / steps
     x = x[:, None, :]
+    h, half_h, sixth_h = (
+        np.broadcast_to(v, x.shape).copy() for v in (step, 0.5 * step, step / 6.0)
+    )
     for first in range(0, steps, FLOW_TABLE_STEPS):
         index = np.arange(first, min(first + FLOW_TABLE_STEPS, steps))
-        lam = lam0 + index[:, None, None, None] * h
+        lam = lam0 + index[:, None, None, None] * step
         left = zip(*drift(lam))
         if method == "euler":
             for a, beta in left:
                 x = x + h * rhs(a, beta, x)
         else:
             # Stages 2 and 3 share the midpoint.
-            mid, right = zip(*drift(lam + half_h)), zip(*drift(lam + h))
+            mid, right = zip(*drift(lam + 0.5 * step)), zip(*drift(lam + step))
             for (a1, b1), (a2, b2), (a4, b4) in zip(left, mid, right):
                 k1 = rhs(a1, b1, x)
                 k2 = rhs(a2, b2, x + half_h * k1)
                 k3 = rhs(a2, b2, x + half_h * k2)
                 k4 = rhs(a4, b4, x + h * k3)
-                x = x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = x + sixth_h * (k1 + (k2 + k2) + (k3 + k3) + k4)
     return x[:, 0, :]
 
 
@@ -313,6 +319,35 @@ def embed_flow_instance(coeffs: FlowCoefficients, n: int) -> FlowCoefficients:
     return FlowCoefficients(P, np.pad(coeffs.H, pad), coeffs.r, coeffs.z, np.pad(coeffs.xbar, pad))
 
 
+@dataclass(frozen=True)
+class WorstDeviation:
+    """One oracle check's largest deviation and the instance that made it.
+
+    `instance` counts in drawing order from 0; the commutator check draws
+    its own instances, and the scalar checks share theirs. For the
+    commutator, `dim` is n_x, `interval` the pseudo-time pair (lam, tau)
+    and `n_z` the measurement dimension. For the scalar checks, `dim` is
+    n, `interval` is (lam0, lam) and `p_over_r` is H P H^T / R; `psi_index`
+    names the psi term of psi_vs_quadrature.
+    """
+
+    deviation: float
+    instance: int
+    dim: int
+    interval: tuple[float, float]
+    n_z: int | None = None
+    p_over_r: float | None = None
+    psi_index: int | None = None
+
+    def where(self) -> str:
+        """The instance in one line, for example `instance 3: n=5, lam 0.1 to 0.9, p/r=1.2e+00`."""
+        a, b = self.interval
+        if self.n_z is not None:
+            return f"instance {self.instance}: n_x={self.dim}, n_z={self.n_z}, lam={a:g}, tau={b:g}"
+        text = f"instance {self.instance}: n={self.dim}, lam {a:.6f} to {b:.6f}, p/r={self.p_over_r:.3e}"
+        return text if self.psi_index is None else f"{text}, psi {self.psi_index}"
+
+
 def verify_closed_forms(
     n_instances: int = 100, seed: int = 0, rk4_steps: int = 10_000
 ) -> dict[str, float]:
@@ -320,7 +355,20 @@ def verify_closed_forms(
 
     Returns a mapping with the same keys as ORACLE_TOLERANCES; a healthy
     build stays below every tolerance. A NaN deviation is returned as NaN,
-    which no tolerance accepts.
+    which no tolerance accepts. These are the values of `worst_deviations`.
+    """
+    worst = worst_deviations(n_instances, seed, rk4_steps)
+    return {key: found.deviation for key, found in worst.items()}
+
+
+def worst_deviations(
+    n_instances: int = 100, seed: int = 0, rk4_steps: int = 10_000
+) -> dict[str, WorstDeviation]:
+    """The largest deviation of each closed form from its oracle, and where it came from.
+
+    Keyed like ORACLE_TOLERANCES. The first NaN deviation, if any, is the
+    maximum; otherwise the first of the largest. Rerunning with the same
+    arguments draws the same instances.
 
     The full flow maps are checked against one RK4 call per pass: each
     instance is embedded in the pass's largest dimension n_max by
@@ -338,13 +386,14 @@ def verify_closed_forms(
 
     rng = np.random.default_rng(seed)
     dims = (1, 2, 3, 5, 8, 13)
-    # Every deviation is kept and np.max taken at the end: it returns NaN if
-    # any is NaN, where a running max() would drop it (max(0.0, nan) is 0.0).
-    deviations: dict[str, list[float]] = {key: [] for key in ORACLE_TOLERANCES}
+    # Every deviation is kept with where it came from, and the maximum taken
+    # at the end by np.argmax, which returns the first NaN if there is one
+    # (a running max() would drop it: max(0.0, nan) is 0.0).
+    deviations: dict[str, list[WorstDeviation]] = {key: [] for key in ORACLE_TOLERANCES}
 
     # Commutator of the general (vector-measurement) drift matrix.
     grid = np.linspace(0.0, 1.0, 5)
-    for _ in range(n_instances):
+    for case in range(n_instances):
         n_x = int(rng.integers(1, 21))
         n_z = int(rng.integers(1, min(n_x, 5) + 1))
         P = random_spd(rng, n_x)
@@ -354,7 +403,10 @@ def verify_closed_forms(
         for i, lam in enumerate(grid):
             for tau in grid[i + 1:]:
                 norm = commutator_norm(P, Hm, Rm, lam, tau)
-                deviations["commutator"].append(norm / (1.0 + norms[lam] * norms[tau]))
+                value = float(norm / (1.0 + norms[lam] * norms[tau]))
+                deviations["commutator"].append(
+                    WorstDeviation(value, case, n_x, (float(lam), float(tau)), n_z=n_z)
+                )
 
     # Scalar-measurement closed forms against their oracles.
     instances: list[tuple[FlowCoefficients, float, float]] = []
@@ -363,21 +415,29 @@ def verify_closed_forms(
         lam0, lam = random_interval(rng)
         instances.append((coeffs, lam0, lam))
 
-    for coeffs, lam0, lam in instances:
+    def found(value: float, case: int, interval: tuple[float, float], psi_index: int | None = None):
+        """A deviation of scalar instance `case` over `interval`."""
+        c = instances[case][0]
+        return WorstDeviation(value, case, c.P.shape[0], interval, None, float(c.p / c.r), psi_index)
+
+    for case, (coeffs, lam0, lam) in enumerate(instances):
         phi = transition_matrix(coeffs, lam, lam0)
         integral_a = np.log(k_eval(coeffs, lam0) / k_eval(coeffs, lam)) / (2.0 * coeffs.p) * coeffs.M
         deviations["phi_vs_matrix_exponential"].append(
-            relative_deviation(phi, matrix_exponential(integral_a))
+            found(relative_deviation(phi, matrix_exponential(integral_a)), case, (lam0, lam))
         )
         for index in range(5):
             closed = psi_term(coeffs, index, lam, lam0)
             quad = quadrature_inhomogeneous(coeffs, index, lam, lam0)
-            deviations["psi_vs_quadrature"].append(relative_deviation(closed, quad))
+            deviations["psi_vs_quadrature"].append(
+                found(relative_deviation(closed, quad), case, (lam0, lam), index)
+            )
 
     # Full maps against one batched RK4 call, each instance over its own
     # interval. Rows go in ascending dimension by a stable sort, the order
     # in which each seed has always drawn its x0 rows.
-    ordered = sorted(instances, key=lambda item: item[0].P.shape[0])
+    order = sorted(range(n_instances), key=lambda case: instances[case][0].P.shape[0])
+    ordered = [instances[case] for case in order]
     n_max = ordered[-1][0].P.shape[0]
     x0 = np.zeros((len(ordered), n_max))
     for row, (c, _, _) in enumerate(ordered):
@@ -390,21 +450,30 @@ def verify_closed_forms(
         np.array([l1 for _, _, l1 in ordered]),
         rk4_steps,
     )
+    flow_map = []
     for row, (c, l0, l1) in enumerate(ordered):
         n = c.P.shape[0]
         phi, d = analytic_flow_map(c, l1, l0)
         closed = np.zeros(n_max)  # the padded coordinates must come back exactly 0
         closed[:n] = phi @ x0[row, :n] + d
-        deviations["flow_map_vs_rk4"].append(relative_deviation(closed, numeric[row]))
+        flow_map.append(found(relative_deviation(closed, numeric[row]), order[row], (l0, l1)))
+    # Back in drawing order, so the first NaN or the first of a tie is the
+    # instance drawn first.
+    deviations["flow_map_vs_rk4"] = [flow_map[row] for row in np.argsort(order)]
 
     # Kalman exactness of the full-interval map.
-    for coeffs, _, _ in instances:
+    for case, (coeffs, _, _) in enumerate(instances):
         phi, d = analytic_flow_map(coeffs, 1.0, 0.0)
         posterior = kalman_posterior(
             coeffs.P, coeffs.H, np.array([[coeffs.r]]), np.array([coeffs.z]), coeffs.xbar
         )
-        deviations["kalman_mean"].append(relative_deviation(phi @ coeffs.xbar + d, posterior.mean))
-        deviations["kalman_covariance"].append(
-            relative_deviation(phi @ coeffs.P @ phi.T, posterior.covariance)
+        deviations["kalman_mean"].append(
+            found(relative_deviation(phi @ coeffs.xbar + d, posterior.mean), case, (0.0, 1.0))
         )
-    return {key: float(np.max(values)) for key, values in deviations.items()}
+        deviations["kalman_covariance"].append(
+            found(relative_deviation(phi @ coeffs.P @ phi.T, posterior.covariance), case, (0.0, 1.0))
+        )
+    return {
+        key: entries[int(np.argmax([entry.deviation for entry in entries]))]
+        for key, entries in deviations.items()
+    }

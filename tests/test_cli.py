@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,56 @@ class TestVerify:
         assert "verification FAILED" in captured.out
         lines = {line.split()[0]: line for line in captured.out.splitlines() if "deviation" in line}
         assert "= nan" in lines["psi_vs_quadrature"] and lines["psi_vs_quadrature"].endswith("FAIL")
+
+    def test_worst_instance_is_found_again_by_its_seed(self, monkeypatch, capsys):
+        def result_lines():
+            out = capsys.readouterr().out
+            return {line.split()[0]: line for line in out.splitlines() if "deviation" in line}
+
+        assert main(["verify", "--instances", "9", "--seed", "4"]) == 0
+        lines = result_lines()
+
+        # Rerun the printed seed, recording every instance as it is drawn.
+        drawn, commutators = [], []
+        real_instance, real_interval = pflow.oracle.random_flow_instance, pflow.oracle.random_interval
+        real_norm = pflow.oracle.commutator_norm
+
+        def instance(rng, n):
+            drawn.append([real_instance(rng, n)])
+            return drawn[-1][0]
+
+        def interval(rng):
+            drawn[-1].append(real_interval(rng))
+            return drawn[-1][1]
+
+        def norm(P, Hm, Rm, lam, tau):
+            commutators.append((P.shape[0], Hm.shape[0], lam, tau))
+            return real_norm(P, Hm, Rm, lam, tau)
+
+        monkeypatch.setattr(pflow.oracle, "random_flow_instance", instance)
+        monkeypatch.setattr(pflow.oracle, "random_interval", interval)
+        monkeypatch.setattr(pflow.oracle, "commutator_norm", norm)
+        main(["verify", "--instances", "9", "--seed", "4"])
+        assert result_lines() == lines
+
+        for name, line in lines.items():
+            assert line.split()[-1] == "OK"
+            if name == "commutator":
+                case, n_x, n_z, lam, tau = re.search(
+                    r"at instance (\d+): n_x=(\d+), n_z=(\d+), lam=(\S+), tau=(\S+)  OK$", line
+                ).groups()
+                # Each commutator instance checks 10 (lam, tau) pairs.
+                pairs = commutators[10 * int(case): 10 * int(case) + 10]
+                assert (int(n_x), int(n_z), float(lam), float(tau)) in pairs
+                continue
+            case, n, lam0, lam, ratio = re.search(
+                r"at instance (\d+): n=(\d+), lam (\S+) to (\S+), p/r=([^,\s]+)", line
+            ).groups()
+            coeffs, interval = drawn[int(case)]
+            assert coeffs.P.shape[0] == int(n), name
+            assert float(ratio) == pytest.approx(coeffs.p / coeffs.r, rel=1e-3), name
+            if not name.startswith("kalman"):
+                assert (float(lam0), float(lam)) == pytest.approx(interval, abs=1e-6), name
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_instance_count_is_a_usage_error(self, count, capsys):

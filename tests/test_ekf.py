@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model
-from pflow.ekf import GaussianBelief, _cholesky, _ensure_positive_definite, ekf_predict, ekf_update
+from pflow.ekf import (
+    GaussianBelief,
+    _cholesky,
+    _ensure_positive_definite,
+    _whiten,
+    ekf_predict,
+    ekf_update,
+)
 from pflow.model import ungm_model
 from pflow.oracle import kalman_posterior
 
@@ -185,6 +192,59 @@ class TestScalarPath:
         mean, covariance = _linalg_update(P, H, R, z, xbar)
         np.testing.assert_array_max_ulp(out.mean, mean, maxulp=1)
         np.testing.assert_array_max_ulp(out.covariance, covariance, maxulp=1)
+
+
+def _matmul_update(P, H, R, z, xbar):
+    """The measurement update with W^T e and W^T W formed by np.matmul,
+    and whether its posterior needed the repair."""
+    HP = H @ P
+    L = _cholesky(HP @ H.T + R)
+    whitened = _whiten(L, np.column_stack((HP, z - H @ xbar)))
+    W, e = whitened[:, :-1], whitened[:, -1]
+    C = P - W.T @ W
+    repaired = _ensure_positive_definite(C)
+    return xbar + W.T @ e, repaired, repaired is not C
+
+
+def _check_against_matmul(P, H, R, seed):
+    rng = np.random.default_rng(seed)
+    xbar = rng.standard_normal(P.shape[0])
+    z = H @ xbar + rng.standard_normal(H.shape[0])
+    out = ekf_update(GaussianBelief(xbar, P), linear_model(np.eye(len(P)), np.eye(len(P)), H, R), z)
+    mean, covariance, repaired = _matmul_update(P, H, R, z, xbar)
+    assert np.array_equal(out.mean, mean)
+    assert np.array_equal(out.covariance, covariance)
+    return repaired
+
+
+class TestUpdateProducts:
+    """With one measurement row, W^T e and W^T W are broadcast products
+    with one term per entry: np.matmul's values bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 100])
+    @pytest.mark.parametrize("log_ratio", [-8.0, -3.0, 0.0, 4.0, 8.0, 12.0])
+    @pytest.mark.parametrize("n_z", [1, 2])
+    def test_matches_matmul_update(self, n, log_ratio, n_z):
+        rng = np.random.default_rng(n * 100 + int(log_ratio) + 8)
+        A = rng.standard_normal((n, n))
+        P = A @ A.T / n + 0.1 * np.eye(n)
+        P = 0.5 * (P + P.T)
+        H = rng.standard_normal((n_z, n))
+        R = np.diag(np.diag(H @ P @ H.T)) / 10.0**log_ratio
+        _check_against_matmul(P, H, R, seed=n)
+
+    @pytest.mark.parametrize("seed", [95, 146, 157, 284])
+    def test_matches_matmul_update_through_the_repair(self, seed):
+        # Eigenvalues from 1e-12 to 1 and H P H^T / R from 1e8 to 1e16:
+        # these draws round P - W^T W to an indefinite matrix.
+        rng = np.random.default_rng(seed)
+        n = (2, 3, 5, 30)[seed % 4]
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        P = (Q * np.exp(rng.uniform(np.log(1e-12), 0.0, n))) @ Q.T
+        P = 0.5 * (P + P.T)
+        H = rng.standard_normal((1, n))
+        R = (H @ P @ H.T) / 10.0 ** rng.uniform(8.0, 16.0)
+        assert _check_against_matmul(P, H, R, seed)
 
 
 class TestEnsurePositiveDefinite:

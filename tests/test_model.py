@@ -156,6 +156,17 @@ class TestSimulate:
         assert np.array_equal(traj.measurements, measurements)
         assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
 
+    # The process-noise kicks are formed in one stacked product before the
+    # recursion; each equals chol(Q) @ w_k at every state width.
+    @pytest.mark.parametrize("dim", [1, 2, 5, 17, 64, 150])
+    def test_coupled_equals_per_step_reference_at_every_width(self, dim):
+        m = random_coupled_model(dim, np.random.default_rng(dim))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        traj = simulate(m, np.ones(dim), 12, rng)
+        states, measurements = _simulate_per_step(m, np.ones(dim), 12, ref_rng)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.measurements, measurements)
+
     def test_noise_free_follows_recursion(self):
         m = ungm_model()
         quiet = SystemModel(

@@ -30,6 +30,7 @@ from pflow.oracle import (
     random_spd,
     relative_deviation,
     verify_closed_forms,
+    worst_deviations,
 )
 
 
@@ -105,6 +106,49 @@ def per_step_reference(coeffs_list, x0_rows, lambda0, lambda1, steps, method):
     return x
 
 
+def classic_stage_loop(coeffs_list, x0_rows, lambda0, lambda1, steps, method="rk4"):
+    """integrate_flow_batch's tabulated drift with the classic stage loop:
+    h, h/2 and h/6 stay (rows, 1, 1) scalars and stages double as 2.0 * k."""
+    Ph = np.stack([c.Ph for c in coeffs_list])[:, None, :]
+    w = np.stack([c.w for c in coeffs_list])[:, None, :]
+    H_col = np.stack([c.H for c in coeffs_list])[:, :, None]
+    p = np.array([c.p for c in coeffs_list])[:, None, None]
+    r = np.array([c.r for c in coeffs_list])[:, None, None]
+    Hw = w @ H_col
+    Hxbar = np.stack([c.xbar for c in coeffs_list])[:, None, :] @ H_col
+
+    def drift(lam):
+        a = -0.5 / (lam * p + r)
+        g = a * (lam * Hw + Hxbar)
+        return a, g + 2.0 * lam * (a * (Hw + g * p))
+
+    def rhs(a, beta, X):
+        return (a * (X @ H_col) + beta) * Ph + w
+
+    lam0 = np.reshape(np.asarray(lambda0, dtype=float), (-1, 1, 1))
+    lam1 = np.reshape(np.asarray(lambda1, dtype=float), (-1, 1, 1))
+    h = (lam1 - lam0) / steps
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    x = np.asarray(x0_rows, dtype=float)[:, None, :]
+    for first in range(0, steps, FLOW_TABLE_STEPS):
+        index = np.arange(first, min(first + FLOW_TABLE_STEPS, steps))
+        lam = lam0 + index[:, None, None, None] * h
+        left = zip(*drift(lam))
+        if method == "euler":
+            for a, beta in left:
+                x = x + h * rhs(a, beta, x)
+        else:
+            mid, right = zip(*drift(lam + half_h)), zip(*drift(lam + h))
+            for (a1, b1), (a2, b2), (a4, b4) in zip(left, mid, right):
+                k1 = rhs(a1, b1, x)
+                k2 = rhs(a2, b2, x + half_h * k1)
+                k3 = rhs(a2, b2, x + half_h * k2)
+                k4 = rhs(a4, b4, x + h * k3)
+                x = x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x[:, 0, :]
+
+
 class TestIntegrateFlowNumeric:
     def test_single_euler_step_definition(self, scalar_z2):
         c = scalar_z2
@@ -158,6 +202,27 @@ class TestIntegrateFlowNumeric:
         reference = per_step_reference(coeffs, x0, lam0, lam1, steps, method)
         assert out.shape == reference.shape
         assert relative_deviation(out, reference) < 1e-13
+
+    # The loop's step sizes are shaped like the state once and its stages
+    # doubled by addition; neither may change a bit. Rows of dimension 1-13
+    # share one call by embedding, as in a verify pass.
+    @pytest.mark.parametrize(
+        "steps", [1, FLOW_TABLE_STEPS - 1, FLOW_TABLE_STEPS + 1, 2 * FLOW_TABLE_STEPS + 3]
+    )
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), tuple(range(1, 14))])
+    def test_bit_identical_to_classic_stage_loop(self, steps, method, per_row, dims):
+        rng = np.random.default_rng(steps)
+        n_max = max(dims)
+        coeffs = [embed_flow_instance(random_flow_instance(rng, n), n_max) for n in dims]
+        x0 = np.stack([c.xbar for c in coeffs]) + rng.standard_normal((len(dims), n_max))
+        if per_row:
+            lam0, lam1 = np.array([random_interval(rng) for _ in coeffs]).T
+        else:
+            lam0, lam1 = random_interval(rng)
+        out = integrate_flow_batch(coeffs, x0, lam0, lam1, steps, method)
+        assert np.array_equal(out, classic_stage_loop(coeffs, x0, lam0, lam1, steps, method))
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_batch_matches_single(self, method):
@@ -288,6 +353,75 @@ class TestVerifySuite:
         results = verify_closed_forms(n_instances=3, seed=0, rk4_steps=100)
         for name, value in results.items():
             assert math.isnan(value) == (name == "psi_vs_quadrature"), name
+
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_bit_identical_with_classic_stage_loop(self, monkeypatch, seed):
+        results = verify_closed_forms(n_instances=2, seed=seed)
+        monkeypatch.setattr(pflow.oracle, "integrate_flow_batch", classic_stage_loop)
+        classic = verify_closed_forms(n_instances=2, seed=seed)
+        assert {key: value.hex() for key, value in results.items()} == {
+            key: value.hex() for key, value in classic.items()
+        }
+
+
+DRAWN_DIMS = (1, 2, 3, 5, 8, 13)  # scalar instance i has dimension DRAWN_DIMS[i % 6]
+
+
+class TestWorstDeviations:
+    def test_values_are_verify_closed_forms(self):
+        worst = worst_deviations(n_instances=7, seed=4, rk4_steps=100)
+        values = verify_closed_forms(n_instances=7, seed=4, rk4_steps=100)
+        assert {key: w.deviation for key, w in worst.items()} == values
+
+    def test_each_maximum_is_its_instance(self):
+        worst = worst_deviations(n_instances=13, seed=2, rk4_steps=100)
+        commutator = worst.pop("commutator")
+        assert 1 <= commutator.n_z <= min(commutator.dim, 5)
+        assert commutator.interval[0] < commutator.interval[1]
+        assert commutator.p_over_r is None and commutator.psi_index is None
+        for key, w in worst.items():
+            assert 0 <= w.instance < 13, key
+            assert w.dim == DRAWN_DIMS[w.instance % 6], key
+            assert w.p_over_r > 0.0 and w.n_z is None, key
+            assert (w.psi_index is not None) == (key == "psi_vs_quadrature"), key
+        assert worst["kalman_mean"].interval == (0.0, 1.0)
+
+    def test_nan_reports_the_first_nan_in_drawing_order(self, monkeypatch):
+        # Rows of the RK4 call are sorted by dimension: 7 instances of dims
+        # 1, 2, 3, 5, 8, 13, 1 go in as instances 0, 6, 1, 2, ... So poisoned
+        # rows 1 and 2 are instances 6 and 1, and instance 1 was drawn first.
+        real = pflow.oracle.integrate_flow_batch
+
+        def poisoned(*args):
+            out = real(*args)
+            out[1:3] = math.nan
+            return out
+
+        monkeypatch.setattr(pflow.oracle, "integrate_flow_batch", poisoned)
+        worst = worst_deviations(n_instances=7, seed=0, rk4_steps=10)["flow_map_vs_rk4"]
+        assert math.isnan(worst.deviation)
+        assert (worst.instance, worst.dim) == (1, 2)
+
+    def test_nan_in_one_instance_is_named(self, monkeypatch):
+        real, calls = pflow.oracle.matrix_exponential, []
+
+        def poisoned(M):
+            calls.append(M)
+            return real(M) * (math.nan if len(calls) in (3, 5) else 1.0)
+
+        monkeypatch.setattr(pflow.oracle, "matrix_exponential", poisoned)
+        worst = worst_deviations(n_instances=6, seed=1, rk4_steps=10)
+        phi = worst["phi_vs_matrix_exponential"]
+        assert math.isnan(phi.deviation) and phi.instance == 2 and phi.dim == 3
+        assert not math.isnan(worst["psi_vs_quadrature"].deviation)
+
+    def test_where_names_the_instance(self):
+        worst = worst_deviations(n_instances=3, seed=0, rk4_steps=10)
+        assert worst["commutator"].where().startswith(f"instance {worst['commutator'].instance}: n_x=")
+        assert ", psi " in worst["psi_vs_quadrature"].where()
+        assert "p/r=" in worst["kalman_mean"].where()
+        assert all("deviation" not in w.where() for w in worst.values())
 
 
 def per_dimension_rk4(instances, rng, steps):
