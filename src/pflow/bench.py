@@ -74,8 +74,6 @@ class BenchConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive integers")
-        if self.model == "ungm":
-            self.dims = (1,)
         if not self.particle_counts or any(c < 1 for c in self.particle_counts):
             raise ValueError("particle_counts must be a nonempty list of positive integers")
         if not self.filters:
@@ -85,6 +83,14 @@ class BenchConfig:
         unknown = set(self.filters) - set(FILTER_NAMES)
         if unknown:
             raise ValueError(f"unknown filters {sorted(unknown)}; expected subset of {FILTER_NAMES}")
+        # A repeated value would rerun the same seeds and count them twice.
+        for name in ("dims", "particle_counts", "filters"):
+            values = getattr(self, name)
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} lists {repeated!r} more than once")
+        if self.model == "ungm":
+            self.dims = (1,)
 
 
 @dataclass
@@ -449,8 +455,12 @@ def parse_config_file(path: str) -> dict:
     """Parse a flat `key = value` benchmark config file.
 
     Lists are comma separated; blank lines and '#' comments are ignored.
+
+    Raises:
+        ValueError: On a line without '=' or a key given twice.
     """
     values: dict = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -459,7 +469,11 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
+            values[key] = value.strip()
     return values
 
 

@@ -32,6 +32,8 @@ A-EDH and NA-EDH share `_analytic_flow`. Each closed-form sub-map is
 affine, so the mean is carried through the sub-maps alone to
 relinearize h, and the composed map of each block of sub-maps moves the
 ensemble in one pass: once per time step at the default 10 sub-maps.
+That pass is flow_core's `_move_ensemble`, whose one-sub-map case is the
+public `apply_flow_ensemble`.
 
 All four flow filters apply their update to every measurement row,
 however small. None divides by H P H^T: the Euler drift divides by S,
@@ -52,6 +54,7 @@ from .flow_core import (
     _drift_S,
     _euler_drift,
     _map_scalars,
+    _move_ensemble,
     validate_flow_inputs,
     # Not called here: edh_update builds A and b from the drift helpers,
     # and _analytic_flow composes its sub-maps from _map_scalars. The
@@ -223,9 +226,10 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
     Ph_j = P H_j^T and (scale_j, c_j) from `_map_scalars`. So the ensemble
     mean is carried through the sub-maps by itself, and h is relinearized
     at the carried mean. A block of sub-maps then composes to
-    x -> x + (W x + b) Phs, one ensemble pass: row j of W and b solve the
-    unit-lower-triangular recurrence
+    x -> x + (W x + b) Phs, one ensemble pass (`_move_ensemble`): row j
+    of W and b solve the unit-lower-triangular recurrence
     (w_j, b_j) = scale_j ((H_j, 0) + sum_{i<j} (H_j . Ph_i)(w_i, b_i)) + (0, c_j).
+    With one sub-map (A-EDH) the pass is `apply_flow_ensemble`'s, bit for bit.
 
     Cost: two model callbacks, the P H^T matvec and O(block * n_x)
     recurrence work per sub-map, plus two (N, n_x, block) products per
@@ -260,7 +264,7 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
             Phs[j] = Ph
             if lam < 1.0:  # the mean after the last sub-map is not read
                 xbar = xbar + (scale * Hx + c) * Ph
-        X = X + (X @ W.T + b) @ Phs
+        X = _move_ensemble(X, W, b, Phs)
     return X
 
 

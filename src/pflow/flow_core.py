@@ -42,7 +42,10 @@ class FlowCoefficients:
             fixed linearization point), shape (n_x,).
 
     `Ph` and `p` are computed from P and H on first read and kept; `w` and
-    `M` are derived on demand. The filters' map reads none of them.
+    `M` are derived on demand. Built directly, a bundle is not checked;
+    `build_coefficients` validates its inputs. The filters build none:
+    they hand `_map_scalars` and `_move_ensemble` the values that
+    `apply_flow_ensemble` derives from a bundle.
     """
 
     P: Array
@@ -111,7 +114,8 @@ def build_coefficients(P: Array, H: Array, R: float, z: float, xbar: Array) -> F
         xbar: Predicted mean.
 
     Raises:
-        ValueError: If R <= 0 or P is not SPD.
+        ValueError: If R <= 0, P is not SPD, or H or xbar is not of
+            P's order.
     """
     P = np.asarray(P, dtype=float)
     H = np.asarray(H, dtype=float).reshape(-1)
@@ -120,19 +124,14 @@ def build_coefficients(P: Array, H: Array, R: float, z: float, xbar: Array) -> F
     z = float(np.asarray(z).reshape(-1)[0])
 
     validate_flow_inputs(P, r)
+    if H.shape != xbar.shape or H.shape != P.shape[:1]:
+        raise ValueError(f"H {H.shape} and xbar {xbar.shape} must match P {P.shape}")
     return _assemble_coefficients(P, H, r, z, xbar)
 
 
 def k_eval(coeffs: FlowCoefficients, lam: float) -> float:
     """The strictly positive scalar k(lambda) = lambda * H P H^T + R."""
     return lam * coeffs.p + coeffs.r
-
-
-def _check_interval(lam: float, lam0: float) -> None:
-    if not (0.0 <= lam0 <= lam <= 1.0):
-        raise ValueError(
-            f"flow interval must satisfy 0 <= lambda0 <= lambda <= 1, got ({lam0}, {lam})"
-        )
 
 
 def _times_S_inverse(L: Array, S: Array, B: Array) -> Array:
@@ -232,7 +231,9 @@ def _map_scalars(p: float, r: float, z: float, h_xbar: float, lam: float, lam0: 
 
 
 def _bundle_map_scalars(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[float, float, float]:
-    """`_map_scalars` of a flow bundle."""
+    """`_map_scalars` of a flow bundle; a ValueError unless 0 <= lam0 <= lam <= 1."""
+    if not (0.0 <= lam0 <= lam <= 1.0):
+        raise ValueError(f"flow interval must satisfy 0 <= lambda0 <= lambda <= 1, got ({lam0}, {lam})")
     return _map_scalars(coeffs.p, coeffs.r, coeffs.z, float(coeffs.H @ coeffs.xbar), lam, lam0)
 
 
@@ -242,7 +243,6 @@ def transition_matrix(coeffs: FlowCoefficients, lam: float, lam0: float) -> Arra
     Equals the matrix exponential of the integral of the drift matrix
     over [lam0, lam]; see the oracle module for the cross-check.
     """
-    _check_interval(lam, lam0)
     _, scale, _ = _bundle_map_scalars(coeffs, lam, lam0)
     return np.eye(coeffs.P.shape[0]) + scale * coeffs.M
 
@@ -263,14 +263,13 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
-    _check_interval(lam, lam0)
+    ratio, _, _ = _bundle_map_scalars(coeffs, lam, lam0)
     if coeffs.p == 0.0:
         return np.zeros(coeffs.P.shape[0])
 
     p, r, w = coeffs.p, coeffs.r, coeffs.w
     k1 = k_eval(coeffs, lam)
     k0 = k_eval(coeffs, lam0)
-    ratio, _, _ = _bundle_map_scalars(coeffs, lam, lam0)
     Mx = coeffs.Ph * float(coeffs.H @ coeffs.xbar)  # M @ xbar
 
     psi0 = (2.0 / 3.0) * (w / p) * (k1 - k0 * ratio)
@@ -284,33 +283,36 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     return [psi0, psi1, psi2, psi3, psi4][index]
 
 
-def inhomogeneous_sum(coeffs: FlowCoefficients, lam: float, lam0: float) -> Array:
-    """The affine part d = Ph * c of the flow map: the five psi terms summed as in `_map_scalars`."""
-    _check_interval(lam, lam0)
-    _, _, c = _bundle_map_scalars(coeffs, lam, lam0)
-    return coeffs.Ph * c
-
-
 def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[Array, Array]:
     """The affine map (Phi, d) solving the flow ODE over [lam0, lam].
 
     x(lam) = Phi @ x(lam0) + d for coefficients frozen at the stored
-    linearization.
+    linearization; d = Ph c sums the five psi terms as `_map_scalars` does.
     """
-    return transition_matrix(coeffs, lam, lam0), inhomogeneous_sum(coeffs, lam, lam0)
+    _, _, c = _bundle_map_scalars(coeffs, lam, lam0)
+    return transition_matrix(coeffs, lam, lam0), coeffs.Ph * c
+
+
+def _move_ensemble(X: Array, W: Array, b: Array, Phs: Array) -> Array:
+    """X + (X W^T + b) Phs: the (count, n_x) ensemble through a block of composed rank-one sub-maps.
+
+    Row j of the (block, n_x) W and Phs and of the (block,) b holds sub-map
+    j's composed linear part, P H_j^T and offset.
+    """
+    return X + (X @ W.T + b) @ Phs
 
 
 def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, lam0: float) -> Array:
     """Move a (count, n_x) array of states through the flow map over [lam0, lam].
 
-    Each row x goes to Phi @ x + d = x + scale (H x) Ph + Ph c, for the
+    Each row x goes to Phi @ x + d = x + (scale H x + c) Ph, for the
     bundle's one frozen linearization. The rank-one structure makes this
-    cost a (count, n_x) @ (n_x,) product, one rank-one update of the
+    cost a (count, n_x) @ (n_x, 1) product, one rank-one update of the
     ensemble and a few scalar operations: O(count * n_x), with no
-    n_x x n_x matrix. The filters do not call it: A-EDH and NA-EDH compose
-    their relinearized sub-maps from the same `_map_scalars` and move the
-    ensemble once per block of sub-maps (`filters._analytic_flow`).
+    n_x x n_x matrix. It is the one-sub-map case of `_move_ensemble`, the
+    kernel A-EDH and NA-EDH move their ensemble with, so the bundle of
+    A-EDH's ensemble mean and pseudo-measurement gives A-EDH's result bit
+    for bit.
     """
-    _check_interval(lam, lam0)
     _, scale, c = _bundle_map_scalars(coeffs, lam, lam0)
-    return particles + scale * ((particles @ coeffs.H)[:, np.newaxis] * coeffs.Ph) + coeffs.Ph * c
+    return _move_ensemble(particles, scale * coeffs.H[np.newaxis], np.array([c]), coeffs.Ph[np.newaxis])

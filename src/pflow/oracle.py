@@ -282,10 +282,14 @@ def random_flow_instance(rng: np.random.Generator, n: int) -> FlowCoefficients:
     return build_coefficients(P, H, R, z, xbar)
 
 
-def random_interval(rng: np.random.Generator, min_width: float = 0.05) -> tuple[float, float]:
-    """A random forward sub-interval (lam0, lam) inside [0, 1]."""
-    lam0 = rng.uniform(0.0, 1.0 - min_width)
-    lam = rng.uniform(lam0 + min_width, 1.0)
+# Narrowest pseudo-time interval of a random instance.
+INTERVAL_MIN_WIDTH = 0.05
+
+
+def random_interval(rng: np.random.Generator) -> tuple[float, float]:
+    """A random forward sub-interval (lam0, lam) inside [0, 1], at least INTERVAL_MIN_WIDTH wide."""
+    lam0 = rng.uniform(0.0, 1.0 - INTERVAL_MIN_WIDTH)
+    lam = rng.uniform(lam0 + INTERVAL_MIN_WIDTH, 1.0)
     return lam0, float(min(lam, 1.0))
 
 
@@ -434,32 +438,29 @@ def worst_deviations(
             )
 
     # Full maps against one batched RK4 call, each instance over its own
-    # interval. Rows go in ascending dimension by a stable sort, the order
-    # in which each seed has always drawn its x0 rows.
-    order = sorted(range(n_instances), key=lambda case: instances[case][0].P.shape[0])
-    ordered = [instances[case] for case in order]
-    n_max = ordered[-1][0].P.shape[0]
-    x0 = np.zeros((len(ordered), n_max))
-    for row, (c, _, _) in enumerate(ordered):
+    # interval, row = instance. The x0 rows are drawn in ascending dimension
+    # by a stable sort, the order in which each seed has always drawn them.
+    n_max = max(c.P.shape[0] for c, _, _ in instances)
+    x0 = np.zeros((n_instances, n_max))
+    for case in sorted(range(n_instances), key=lambda case: instances[case][0].P.shape[0]):
+        c = instances[case][0]
         n = c.P.shape[0]
-        x0[row, :n] = c.xbar + rng.standard_normal(n)
+        x0[case, :n] = c.xbar + rng.standard_normal(n)
     numeric = integrate_flow_batch(
-        [embed_flow_instance(c, n_max) for c, _, _ in ordered],
+        [embed_flow_instance(c, n_max) for c, _, _ in instances],
         x0,
-        np.array([l0 for _, l0, _ in ordered]),
-        np.array([l1 for _, _, l1 in ordered]),
+        np.array([l0 for _, l0, _ in instances]),
+        np.array([l1 for _, _, l1 in instances]),
         rk4_steps,
     )
-    flow_map = []
-    for row, (c, l0, l1) in enumerate(ordered):
+    for case, (c, l0, l1) in enumerate(instances):
         n = c.P.shape[0]
         phi, d = analytic_flow_map(c, l1, l0)
         closed = np.zeros(n_max)  # the padded coordinates must come back exactly 0
-        closed[:n] = phi @ x0[row, :n] + d
-        flow_map.append(found(relative_deviation(closed, numeric[row]), order[row], (l0, l1)))
-    # Back in drawing order, so the first NaN or the first of a tie is the
-    # instance drawn first.
-    deviations["flow_map_vs_rk4"] = [flow_map[row] for row in np.argsort(order)]
+        closed[:n] = phi @ x0[case, :n] + d
+        deviations["flow_map_vs_rk4"].append(
+            found(relative_deviation(closed, numeric[case]), case, (l0, l1))
+        )
 
     # Kalman exactness of the full-interval map.
     for case, (coeffs, _, _) in enumerate(instances):

@@ -218,6 +218,16 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(particle_counts=())
 
+    @pytest.mark.parametrize("name, values, repeated", [
+        ("dims", (3, 5, 3), "3"),
+        ("particle_counts", (10, 10), "10"),
+        ("filters", ("EKF", "A-EDH", "A-EDH"), "'A-EDH'"),
+    ], ids=["dims", "particle_counts", "filters"])
+    def test_rejects_repeated_values(self, name, values, repeated):
+        # A repeated value reruns the same seeds and books them twice.
+        with pytest.raises(ValueError, match=f"^{name} lists {repeated} more than once$"):
+            BenchConfig(**{name: values})
+
     def test_mapping_conversion(self):
         config = config_from_mapping(
             {
@@ -277,6 +287,12 @@ class TestBenchConfig:
         path = tmp_path / "bench.cfg"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert config_from_mapping(parse_config_file(str(path))) == config
+
+    def test_config_file_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("dims = 10\nmc_runs = 2\n\ndims = 20\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bench.cfg:4: key 'dims' repeats line 1$"):
+            parse_config_file(str(path))
 
     def test_config_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -268,10 +268,16 @@ class TestArgumentErrors:
             (["bench", "--config", "missing.cfg"], None, None),
             (["simulate", "--model", "coupled", "--dim", "0"], None, None),
             (["simulate", "--steps", "-1"], None, None),
+            (["bench", "--dims", "3,3", "--particle-counts", "5", "--mc-runs", "2",
+              "--filters", "EKF,A-EDH,A-EDH", "--no-timing"], None, None),
+            (["bench", "--dims", "3", "--particle-counts", "5,7,5"], None, None),
+            (["bench", "--model", "ungm", "--filters", "EKF,EDH,EKF"], None, None),
+            (["bench"], "dims = 10\ndims = 20\n", None),
         ],
         ids=["mc-runs-0", "dims-x", "dims-empty", "out-dir-empty", "config-value",
              "config-key", "config-boolean", "seed-env", "config-missing",
-             "simulate-dim-0", "simulate-steps-negative"],
+             "simulate-dim-0", "simulate-steps-negative", "dims-repeated",
+             "particle-counts-repeated", "filters-repeated", "config-key-repeated"],
     )
     def test_bad_input_is_a_usage_error(self, argv, config, seed_env, tmp_path,
                                         monkeypatch, capsys):

@@ -26,7 +26,6 @@ from pflow.flow_core import (
     build_coefficients,
     drift_matrix_A,
     drift_vector_b,
-    inhomogeneous_sum,
     k_eval,
     psi_term,
     transition_matrix,
@@ -80,6 +79,15 @@ class TestBuildCoefficients:
         # Cholesky reads one triangle; this P would factor as the identity.
         with pytest.raises(ValueError, match="symmetric positive definite"):
             build_coefficients([[1.0, 5.0], [0.0, 1.0]], [1.0, 0.0], 1.0, 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("H, xbar, shapes", [
+        ([1.0, 2.0], np.zeros(3), r"H \(2,\) and xbar \(3,\) must match P \(3, 3\)"),
+        ([1.0, 2.0, 3.0], np.zeros(4), r"H \(3,\) and xbar \(4,\) must match P \(3, 3\)"),
+        ([1.0, 2.0], np.zeros(2), r"H \(2,\) and xbar \(2,\) must match P \(3, 3\)"),
+    ], ids=["H-short", "xbar-long", "both-short"])
+    def test_rejects_shapes_other_than_the_order_of_P(self, H, xbar, shapes):
+        with pytest.raises(ValueError, match=shapes):
+            build_coefficients(np.eye(3), H, 1.0, 0.5, xbar)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="positive"):
@@ -353,6 +361,7 @@ class TestPsiTerms:
 
 
 class TestInhomogeneousSum:
+    # The affine part d of `analytic_flow_map`.
     @pytest.mark.parametrize("seed", range(25))
     def test_equals_sum_of_psi_terms(self, seed):
         # Ties the five terms criterion 3 certifies against quadrature to
@@ -361,18 +370,18 @@ class TestInhomogeneousSum:
         c = random_flow_instance(rng, int(rng.integers(1, 14)))
         lam0, lam = random_interval(rng)
         terms = sum(psi_term(c, index, lam, lam0) for index in range(5))
-        assert relative_deviation(inhomogeneous_sum(c, lam, lam0), terms) < 1e-12
+        assert relative_deviation(analytic_flow_map(c, lam, lam0)[1], terms) < 1e-12
 
     def test_scalar_posterior_mean(self, scalar_z2):
-        np.testing.assert_allclose(inhomogeneous_sum(scalar_z2, 1.0, 0.0), [1.0], atol=1e-5)
+        np.testing.assert_allclose(analytic_flow_map(scalar_z2, 1.0, 0.0)[1], [1.0], atol=1e-5)
 
     def test_prior_mean_instance(self, scalar_z0_x1):
         np.testing.assert_allclose(
-            inhomogeneous_sum(scalar_z0_x1, 1.0, 0.0), [-0.2071067811865476], rtol=1e-5
+            analytic_flow_map(scalar_z0_x1, 1.0, 0.0)[1], [-0.2071067811865476], rtol=1e-5
         )
 
     def test_empty_interval(self, scalar_z2):
-        np.testing.assert_allclose(inhomogeneous_sum(scalar_z2, 0.2, 0.2), [0.0])
+        np.testing.assert_allclose(analytic_flow_map(scalar_z2, 0.2, 0.2)[1], [0.0])
 
 
 class TestAnalyticFlowMap:
@@ -473,6 +482,24 @@ class TestApplyFlow:
         phi, d = analytic_flow_map(c, lam, lam0)
         for i in range(6):
             np.testing.assert_allclose(batch[i], phi @ particles[i] + d, rtol=1e-12, atol=1e-12)
+
+    # A-EDH moves its ensemble through the same kernel, so the bundle of its
+    # ensemble mean and pseudo-measurement z - h(mean) + H mean gives its
+    # result bit for bit on a linear model.
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_single_step_filter_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, count = int(rng.integers(1, 31)), int(rng.integers(1, 41))
+        P, H, r = random_spd(rng, n), rng.standard_normal(n), rng.uniform(0.2, 4.0)
+        model = linear_model(np.eye(n), np.eye(n), H[np.newaxis], [[r]])
+        X = rng.standard_normal((count, n))
+        z = np.array([2.0 * rng.standard_normal()])
+        mean = X.mean(axis=0)
+        z_lin = z[0] - model.measurement(mean)[0] + H @ mean
+        cfg = FilterConfig(variant="A-EDH", particle_count=count, lambda_steps=1)
+        moved = apply_flow_ensemble(FlowCoefficients(P, H, r, z_lin, mean), X, 1.0, 0.0)
+        assert np.array_equal(moved, aedh_update(X, P, model, z, cfg))
 
 
 def scaled_flow_instance(seed, log_ratio):

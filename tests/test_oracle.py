@@ -425,18 +425,21 @@ class TestWorstDeviations:
 
 
 def per_dimension_rk4(instances, rng, steps):
-    """The flow-map oracle as one RK4 call per dimension, rows grouped by
-    dimension in first-seen order: (x0 row, result row) per instance."""
+    """The flow-map oracle as one RK4 call per dimension, the x0 rows drawn
+    group by group in first-seen order: (x0 row, result row) per instance,
+    in instance order."""
     by_dim = {}
-    for item in instances:
-        by_dim.setdefault(item[0].P.shape[0], []).append(item)
-    rows = []
-    for n, group in by_dim.items():
+    for case, item in enumerate(instances):
+        by_dim.setdefault(item[0].P.shape[0], []).append(case)
+    rows = [None] * len(instances)
+    for n, cases in by_dim.items():
+        group = [instances[case] for case in cases]
         coeffs_list = [c for c, _, _ in group]
         x0 = np.stack([c.xbar + rng.standard_normal(n) for c in coeffs_list])
         lam0 = np.array([l0 for _, l0, _ in group])
         lam = np.array([l1 for _, _, l1 in group])
-        rows += zip(x0, integrate_flow_batch(coeffs_list, x0, lam0, lam, steps))
+        for case, row in zip(cases, zip(x0, integrate_flow_batch(coeffs_list, x0, lam0, lam, steps))):
+            rows[case] = row
     return rows
 
 
