@@ -12,7 +12,7 @@ are emitted as CSV, markdown, and an SVG scatter plot.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,13 +136,6 @@ class ReportRow:
 CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
 
 
-@dataclass
-class ReportTable:
-    """Normalized benchmark table; EKF rows have relative values exactly 1."""
-
-    rows: list[ReportRow] = field(default_factory=list)
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -263,12 +256,13 @@ def run_benchmark(config: BenchConfig) -> list[RunRecord]:
     return records
 
 
-def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
+def normalize_vs_ekf(records: Sequence[RunRecord]) -> list[ReportRow]:
     """Aggregate run records into per-(filter, particle count) rows.
 
     Mean RMSE and mean runtime divide by the EKF means of the matching
     (model, dim, particles) group, falling back to the pooled
     (model, dim) EKF baseline for particle counts the EKF was not run at.
+    EKF rows therefore have relative values exactly 1.
 
     Raises:
         ValueError: If a (model, dim) group has no EKF baseline.
@@ -309,38 +303,37 @@ def normalize_vs_ekf(records: Sequence[RunRecord]) -> ReportTable:
                 runtime_rel_ekf=runtime_mean / base_runtime if base_runtime > 0 else 0.0,
             )
         )
-    return ReportTable(rows=rows)
+    return rows
 
 
-def emit_csv(table: ReportTable, path: str) -> None:
-    """Write the normalized table as CSV (LF endings, '.' decimals).
+def emit_csv(rows: Sequence[ReportRow], path: str) -> None:
+    """Write the normalized rows as CSV (LF endings, '.' decimals).
 
     One column per ReportRow field, in field order; floats are written
-    as their shortest round-trip repr. A table without rows yields a
-    header-only file.
+    as their shortest round-trip repr. No rows yield a header-only file.
     """
     lines = [CSV_HEADER]
-    for row in table.rows:
+    for row in rows:
         values = (getattr(row, f.name) for f in fields(ReportRow))
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values))
     write_text(path, "\n".join(lines) + "\n")
 
 
-def emit_markdown(table: ReportTable, path: str) -> None:
-    """Render the table as a markdown grid, one block per (model, dim).
+def emit_markdown(rows: Sequence[ReportRow], path: str) -> None:
+    """Render the normalized rows as a markdown grid, one block per (model, dim).
 
     Rows are RMSE and TIME (ms) per particle count, columns the filters,
     mirroring the usual presentation of such comparisons.
     """
     sections: dict[tuple[str, int], list[ReportRow]] = {}
-    for row in table.rows:
+    for row in rows:
         sections.setdefault((row.model, row.dim), []).append(row)
 
     chunks: list[str] = []
-    for (model, dim), rows in sections.items():
-        filters = [name for name in FILTER_NAMES if any(r.filter == name for r in rows)]
-        counts = sorted({r.particles for r in rows})
-        by_key = {(r.filter, r.particles): r for r in rows}
+    for (model, dim), section in sections.items():
+        filters = [name for name in FILTER_NAMES if any(r.filter == name for r in section)]
+        counts = sorted({r.particles for r in section})
+        by_key = {(r.filter, r.particles): r for r in section}
         lines = [
             f"### {model}, dim={dim}",
             "",
@@ -358,12 +351,12 @@ def emit_markdown(table: ReportTable, path: str) -> None:
     write_text(path, "\n\n".join(chunks) + "\n")
 
 
-def emit_scatter_svg(table: ReportTable, path: str) -> None:
-    """Scatter plot of relative runtime (x, log scale) vs relative RMSE (y).
+def emit_scatter_svg(rows: Sequence[ReportRow], path: str) -> None:
+    """Scatter plot of the rows' relative runtime (x, log scale) vs relative RMSE (y).
 
     Marker area scales with the particle count; one color per filter.
     """
-    rows = [r for r in table.rows if r.runtime_rel_ekf > 0 and np.isfinite(r.rmse_rel_ekf)]
+    rows = [r for r in rows if r.runtime_rel_ekf > 0 and np.isfinite(r.rmse_rel_ekf)]
     width, height, margin = 640, 480, 60
     palette = {
         "EKF": "#444444",

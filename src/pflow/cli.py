@@ -97,10 +97,10 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     records = run_benchmark(config)
-    table = normalize_vs_ekf(records)
-    emit_csv(table, os.path.join(out_dir, "results.csv"))
-    emit_markdown(table, os.path.join(out_dir, "results.md"))
-    emit_scatter_svg(table, os.path.join(out_dir, "scatter.svg"))
+    rows = normalize_vs_ekf(records)
+    emit_csv(rows, os.path.join(out_dir, "results.csv"))
+    emit_markdown(rows, os.path.join(out_dir, "results.md"))
+    emit_scatter_svg(rows, os.path.join(out_dir, "scatter.svg"))
 
     failed = [r for r in records if r.failed]
     metadata = {
@@ -121,8 +121,8 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
     }
     write_text(os.path.join(out_dir, "metadata.json"), json.dumps(metadata, indent=2) + "\n")
 
-    print(f"wrote {len(table.rows)} table rows from {len(records)} runs to {out_dir}")
-    for row in table.rows:
+    print(f"wrote {len(rows)} table rows from {len(records)} runs to {out_dir}")
+    for row in rows:
         print(
             f"  {row.model} dim={row.dim} {row.filter:>6} N_p={row.particles:<4} "
             f"rmse={row.rmse_mean:.4g} (x{row.rmse_rel_ekf:.3f} EKF) "

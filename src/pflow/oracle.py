@@ -254,10 +254,8 @@ def kalman_posterior(P: Array, H: Array, R: Array, z: Array, xbar: Array) -> Gau
     return GaussianBelief(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
-def commutator_norm(P: Array, H: Array, R: Array, lam: float, tau: float) -> float:
-    """Frobenius norm of A(lam) A(tau) - A(tau) A(lam)."""
-    A1 = drift_matrix_A(P, H, R, lam)
-    A2 = drift_matrix_A(P, H, R, tau)
+def commutator_norm(A1: Array, A2: Array) -> float:
+    """Frobenius norm of A1 A2 - A2 A1, for two matrices the caller formed once."""
     return float(np.linalg.norm(A1 @ A2 - A2 @ A1, "fro"))
 
 
@@ -374,6 +372,9 @@ def worst_deviations(
     maximum; otherwise the first of the largest. Rerunning with the same
     arguments draws the same instances.
 
+    A commutator instance forms its five grid matrices once with the general
+    `drift_matrix_A`; its norms and ten pairwise commutators read them.
+
     The full flow maps are checked against one RK4 call per pass: each
     instance is embedded in the pass's largest dimension n_max by
     `embed_flow_instance` and started at [xbar + draw, 0, ...]. The padded
@@ -403,10 +404,11 @@ def worst_deviations(
         P = random_spd(rng, n_x)
         Hm = rng.standard_normal((n_z, n_x))
         Rm = random_spd(rng, n_z)
-        norms = {lam: np.linalg.norm(drift_matrix_A(P, Hm, Rm, lam), "fro") for lam in grid}
+        drift = {lam: drift_matrix_A(P, Hm, Rm, lam) for lam in grid}
+        norms = {lam: np.linalg.norm(A, "fro") for lam, A in drift.items()}
         for i, lam in enumerate(grid):
             for tau in grid[i + 1:]:
-                norm = commutator_norm(P, Hm, Rm, lam, tau)
+                norm = commutator_norm(drift[lam], drift[tau])
                 value = float(norm / (1.0 + norms[lam] * norms[tau]))
                 deviations["commutator"].append(
                     WorstDeviation(value, case, n_x, (float(lam), float(tau)), n_z=n_z)

@@ -61,10 +61,11 @@ def test_criterion_1_commutativity():
         P = random_spd(rng, n_x)
         H = rng.standard_normal((n_z, n_x))
         R = random_spd(rng, n_z)
-        norms = {lam: np.linalg.norm(drift_matrix_A(P, H, R, lam), "fro") for lam in grid}
+        drift = {lam: drift_matrix_A(P, H, R, lam) for lam in grid}
+        norms = {lam: np.linalg.norm(A, "fro") for lam, A in drift.items()}
         for i, lam in enumerate(grid):
             for tau in grid[i + 1:]:
-                normalized = commutator_norm(P, H, R, lam, tau) / (
+                normalized = commutator_norm(drift[lam], drift[tau]) / (
                     1.0 + norms[lam] * norms[tau]
                 )
                 worst = np.maximum(worst, normalized)
@@ -225,9 +226,9 @@ def test_criterion_8_coupled_benchmark_orderings():
     )
     records = run_benchmark(config)
     failed = [r for r in records if r.failed]
-    table = normalize_vs_ekf(records)
-    rmse = {r.filter: r.rmse_mean for r in table.rows}
-    runtime = {r.filter: r.runtime_ms_mean for r in table.rows}
+    rows = normalize_vs_ekf(records)
+    rmse = {r.filter: r.rmse_mean for r in rows}
+    runtime = {r.filter: r.runtime_ms_mean for r in rows}
     elapsed = time.perf_counter() - start
 
     margin = 0.01 * rmse["EKF"]
@@ -264,8 +265,8 @@ def test_criterion_9_ungm_sanity():
     )
     records = run_benchmark(config)
     failed = [r for r in records if r.failed]
-    table = normalize_vs_ekf(records)
-    rmse = {r.filter: r.rmse_mean for r in table.rows}
+    rows = normalize_vs_ekf(records)
+    rmse = {r.filter: r.rmse_mean for r in rows}
     elapsed = time.perf_counter() - start
 
     bounded = ("EDH", "LEDH", "NA-EDH")

@@ -94,15 +94,15 @@ class TestDeriveSeed:
 
 class TestNormalizeVsEkf:
     def test_ekf_rows_are_exactly_one(self):
-        table = normalize_vs_ekf(reference_records())
-        for row in table.rows:
+        rows = normalize_vs_ekf(reference_records())
+        for row in rows:
             if row.filter == "EKF":
                 assert row.rmse_rel_ekf == 1.0
                 assert row.runtime_rel_ekf == 1.0
 
     def test_reference_ratios(self):
-        table = normalize_vs_ekf(reference_records())
-        by_key = {(r.filter, r.particles): r for r in table.rows}
+        rows = normalize_vs_ekf(reference_records())
+        by_key = {(r.filter, r.particles): r for r in rows}
         np.testing.assert_allclose(by_key[("EDH", 10)].rmse_rel_ekf, 0.8672, atol=5e-5)
         np.testing.assert_allclose(by_key[("A-EDH", 10)].runtime_rel_ekf, 1.7734, atol=5e-5)
 
@@ -117,14 +117,14 @@ class TestNormalizeVsEkf:
             record("EKF", 10, float("nan"), 0.0, run_index=1, error="boom"),
             record("EDH", 10, 50.0, 2.0, run_index=0),
         ]
-        table = normalize_vs_ekf(records)
-        by_filter = {r.filter: r for r in table.rows}
+        rows = normalize_vs_ekf(records)
+        by_filter = {r.filter: r for r in rows}
         assert by_filter["EKF"].mc_runs == 1
         np.testing.assert_allclose(by_filter["EDH"].rmse_rel_ekf, 0.5)
 
     def test_rows_sorted_canonically(self):
-        table = normalize_vs_ekf(reference_records())
-        keys = [(r.particles, r.filter) for r in table.rows]
+        rows = normalize_vs_ekf(reference_records())
+        keys = [(r.particles, r.filter) for r in rows]
         expected_filters = ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"]
         assert keys == [(p, f) for p in (10, 50, 100, 500) for f in expected_filters]
 
@@ -135,7 +135,7 @@ class TestNormalizeVsEkf:
             record("EDH", 10, 60.0, 8.0),
             record("EDH", 50, 90.0, 12.0),
         ]
-        by_key = {(r.filter, r.particles): r for r in normalize_vs_ekf(records).rows}
+        by_key = {(r.filter, r.particles): r for r in normalize_vs_ekf(records)}
         # EDH at N=50 has no EKF at N=50; it divides by the EKF@10 means.
         assert by_key[("EDH", 50)].rmse_rel_ekf == 90.0 / 120.0
         assert by_key[("EDH", 50)].runtime_rel_ekf == 12.0 / 4.0
@@ -144,8 +144,8 @@ class TestNormalizeVsEkf:
 
     def test_zeroed_runtime_baseline(self):
         records = [record("EKF", 10, 100.0, 0.0), record("EDH", 10, 80.0, 0.0)]
-        table = normalize_vs_ekf(records)
-        assert all(r.runtime_rel_ekf == 0.0 for r in table.rows)
+        rows = normalize_vs_ekf(records)
+        assert all(r.runtime_rel_ekf == 0.0 for r in rows)
 
 
 class TestEmitters:
@@ -309,8 +309,8 @@ class TestRunBenchmark:
         )
         records = run_benchmark(config)
         assert len(records) == 1
-        table = normalize_vs_ekf(records)
-        assert table.rows[0].rmse_rel_ekf == 1.0
+        rows = normalize_vs_ekf(records)
+        assert rows[0].rmse_rel_ekf == 1.0
 
     def test_record_count_is_product_of_sweep(self):
         config = BenchConfig(

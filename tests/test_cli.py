@@ -86,9 +86,9 @@ class TestVerify:
         lines = result_lines()
 
         # Rerun the printed seed, recording every instance as it is drawn.
-        drawn, commutators = [], []
+        drawn, drift_calls = [], []
         real_instance, real_interval = pflow.oracle.random_flow_instance, pflow.oracle.random_interval
-        real_norm = pflow.oracle.commutator_norm
+        real_drift = pflow.oracle.drift_matrix_A
 
         def instance(rng, n):
             drawn.append([real_instance(rng, n)])
@@ -98,13 +98,13 @@ class TestVerify:
             drawn[-1].append(real_interval(rng))
             return drawn[-1][1]
 
-        def norm(P, Hm, Rm, lam, tau):
-            commutators.append((P.shape[0], Hm.shape[0], lam, tau))
-            return real_norm(P, Hm, Rm, lam, tau)
+        def drift(P, Hm, Rm, lam):
+            drift_calls.append((P.shape[0], Hm.shape[0], lam))
+            return real_drift(P, Hm, Rm, lam)
 
         monkeypatch.setattr(pflow.oracle, "random_flow_instance", instance)
         monkeypatch.setattr(pflow.oracle, "random_interval", interval)
-        monkeypatch.setattr(pflow.oracle, "commutator_norm", norm)
+        monkeypatch.setattr(pflow.oracle, "drift_matrix_A", drift)
         main(["verify", "--instances", "9", "--seed", "4"])
         assert result_lines() == lines
 
@@ -114,9 +114,13 @@ class TestVerify:
                 case, n_x, n_z, lam, tau = re.search(
                     r"at instance (\d+): n_x=(\d+), n_z=(\d+), lam=(\S+), tau=(\S+)  OK$", line
                 ).groups()
-                # Each commutator instance checks 10 (lam, tau) pairs.
-                pairs = commutators[10 * int(case): 10 * int(case) + 10]
-                assert (int(n_x), int(n_z), float(lam), float(tau)) in pairs
+                # Each commutator instance forms its 5 grid matrices, in grid order.
+                assert len(drift_calls) == 5 * 9
+                calls = drift_calls[5 * int(case): 5 * int(case) + 5]
+                grid = [point for _, _, point in calls]
+                assert grid == list(np.linspace(0.0, 1.0, 5))
+                assert {(nx, nz) for nx, nz, _ in calls} == {(int(n_x), int(n_z))}
+                assert float(lam) < float(tau) and {float(lam), float(tau)} <= set(grid)
                 continue
             case, n, lam0, lam, ratio = re.search(
                 r"at instance (\d+): n=(\d+), lam (\S+) to (\S+), p/r=([^,\s]+)", line

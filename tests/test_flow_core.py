@@ -699,8 +699,9 @@ class TestCommutativity:
         H = rng.standard_normal((n_z, n_x))
         R = random_spd(rng, n_z)
         grid = np.arange(0.0, 1.0 + 1e-12, 0.1)
-        norms = {lam: np.linalg.norm(drift_matrix_A(P, H, R, lam), "fro") for lam in grid}
+        drift = {lam: drift_matrix_A(P, H, R, lam) for lam in grid}
+        norms = {lam: np.linalg.norm(A, "fro") for lam, A in drift.items()}
         for i, lam in enumerate(grid):
             for tau in grid[i + 1:]:
                 bound = 1e-10 * (1.0 + norms[lam] * norms[tau])
-                assert commutator_norm(P, H, R, lam, tau) <= bound
+                assert commutator_norm(drift[lam], drift[tau]) <= bound

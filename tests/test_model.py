@@ -5,6 +5,7 @@ import pytest
 
 from conftest import linear_model
 from pflow.model import (
+    _MAX_TF_CONDITION,
     SystemModel,
     jacobian_check,
     random_coupled_model,
@@ -66,6 +67,21 @@ class TestRandomCoupledModel:
         m = random_coupled_model(12, np.random.default_rng(seed))
         np.linalg.cholesky(m.Q)  # raises when not SPD
         np.testing.assert_allclose(m.Q, m.Q.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transition_matches_the_diagonal_product(self, seed):
+        # F = T diag(u) T^-1 formed with the dense diagonal, the draws
+        # repeated from the same seed, is the model's F bit for bit.
+        for dim in range(1, 151):
+            rng = np.random.default_rng([seed, dim])
+            F = random_coupled_model(dim, rng).transition_jacobian(np.zeros(dim), 1)
+            rng = np.random.default_rng([seed, dim])
+            t_f = rng.uniform(size=(dim, dim))
+            while np.linalg.cond(t_f) >= _MAX_TF_CONDITION:
+                t_f = rng.uniform(size=(dim, dim))
+            eigenvalues = -rng.uniform(size=dim)
+            reference = t_f @ np.diag(eigenvalues) @ np.linalg.inv(t_f)
+            assert np.array_equal(F, reference), dim
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):

@@ -294,28 +294,85 @@ class TestKalmanPosterior:
 
 class TestCommutatorNorm:
     def test_scalar_case_is_exactly_zero(self):
-        assert commutator_norm(np.eye(1), [[2.0]], [[1.0]], 0.2, 0.9) == 0.0
+        A1, A2 = (drift_matrix_A(np.eye(1), [[2.0]], [[1.0]], lam) for lam in (0.2, 0.9))
+        assert commutator_norm(A1, A2) == 0.0
 
     def test_equal_arguments(self):
         rng = np.random.default_rng(5)
         P = random_spd(rng, 4)
         H = rng.standard_normal((2, 4))
         R = random_spd(rng, 2)
-        assert commutator_norm(P, H, R, 0.4, 0.4) < 1e-14
+        A = drift_matrix_A(P, H, R, 0.4)
+        assert commutator_norm(A, drift_matrix_A(P, H, R, 0.4)) < 1e-14
 
     def test_random_instance_commutes(self):
         rng = np.random.default_rng(6)
         P = random_spd(rng, 5)
         H = rng.standard_normal((2, 5))
         R = random_spd(rng, 2)
-        from pflow.flow_core import drift_matrix_A
+        A1, A2 = drift_matrix_A(P, H, R, 0.3), drift_matrix_A(P, H, R, 0.9)
+        bound = 1e-12 * (1.0 + np.linalg.norm(A1, "fro") * np.linalg.norm(A2, "fro"))
+        assert commutator_norm(A1, A2) <= bound
 
-        bound = 1e-12 * (
-            1.0
-            + np.linalg.norm(drift_matrix_A(P, H, R, 0.3), "fro")
-            * np.linalg.norm(drift_matrix_A(P, H, R, 0.9), "fro")
-        )
-        assert commutator_norm(P, H, R, 0.3, 0.9) <= bound
+    def test_non_commuting_pair(self):
+        # [E12, E21] = diag(1, -1), whose Frobenius norm is sqrt(2).
+        E12, E21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert commutator_norm(E12, E21) == math.sqrt(2.0)
+        assert type(commutator_norm(E12, E21)) is float
+
+
+def per_pair_commutators(n_instances, seed):
+    """The commutator records of worst_deviations(n_instances, seed) as the
+    per-pair loop made them, forming both drift matrices again for every
+    (lam, tau) pair: (deviation hex, instance, interval, n_z) per pair."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, 5)
+    records = []
+    for case in range(n_instances):
+        n_x = int(rng.integers(1, 21))
+        n_z = int(rng.integers(1, min(n_x, 5) + 1))
+        P = random_spd(rng, n_x)
+        Hm = rng.standard_normal((n_z, n_x))
+        Rm = random_spd(rng, n_z)
+        norms = {lam: np.linalg.norm(drift_matrix_A(P, Hm, Rm, lam), "fro") for lam in grid}
+        for i, lam in enumerate(grid):
+            for tau in grid[i + 1:]:
+                A1, A2 = drift_matrix_A(P, Hm, Rm, lam), drift_matrix_A(P, Hm, Rm, tau)
+                norm = float(np.linalg.norm(A1 @ A2 - A2 @ A1, "fro"))
+                value = float(norm / (1.0 + norms[lam] * norms[tau]))
+                records.append((value.hex(), case, (float(lam), float(tau)), n_z))
+    return records
+
+
+class TestCommutatorPass:
+    """worst_deviations forms each commutator instance's grid matrices once."""
+
+    @pytest.mark.parametrize(
+        "n_instances, seed", [(2, 0), (2, 1), (2, 2), (2, 3), (100, 0)]
+    )
+    def test_five_drift_matrices_per_instance(self, monkeypatch, n_instances, seed):
+        real_drift, real_record = pflow.oracle.drift_matrix_A, pflow.oracle.WorstDeviation
+        calls, records = [], []
+
+        def drift(*args):
+            calls.append(args[3])
+            return real_drift(*args)
+
+        def record(*args, **kwargs):
+            records.append(real_record(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(pflow.oracle, "drift_matrix_A", drift)
+        monkeypatch.setattr(pflow.oracle, "WorstDeviation", record)
+        worst = worst_deviations(n_instances, seed, rk4_steps=10)["commutator"]
+        assert len(calls) == 5 * n_instances
+        assert calls == list(np.linspace(0.0, 1.0, 5)) * n_instances
+
+        expected = per_pair_commutators(n_instances, seed)
+        commutators = [r for r in records if r.n_z is not None]
+        assert [(r.deviation.hex(), r.instance, r.interval, r.n_z) for r in commutators] == expected
+        first_max = max(expected, key=lambda entry: float.fromhex(entry[0]))
+        assert (worst.deviation.hex(), worst.instance, worst.interval, worst.n_z) == first_max
 
 
 class TestVerifySuite:
