@@ -14,9 +14,9 @@ has a closed-form solution: a state-transition factor Phi(lambda,
 lambda0) plus five integrated offset terms psi_0..psi_4. Everything here
 is a pure function of immutable inputs.
 
-All closed forms are written in terms of the ratio k(lambda0)/k(lambda)
-with k(lambda) = lambda * H P H^T + R, which stays in (0, 1] on forward
-flows and avoids overflow when H P H^T is large.
+With k(lambda) = lambda H P H^T + R, Phi = I + scale M and each psi term
+is that same scale times one factor: no closed form divides by H P H^T,
+so all keep full precision from H P H^T = 0 to H P H^T / R = 1e15.
 """
 
 from __future__ import annotations
@@ -251,9 +251,13 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     """Closed-form integral of Phi(lam, tau) against the index-th drift-offset term.
 
     The offset b(tau) splits into five terms (constant, linear-in-xbar,
-    and the lambda-weighted cross terms); each integrates in closed form.
-    These forms divide by p = H P H^T. At p = 0 a positive semidefinite P
-    has P H^T = 0, so every term is exactly zero and zeros are returned.
+    and the lambda-weighted cross terms). Each integrates to the Phi scale
+    (s - 1)/p of `_map_scalars` times one factor times w, or for psi1 and
+    psi3 Mx = Ph (H xbar); the factors use u = s k1 = sqrt(k0 k1) and
+    D = r (lam0 + lam) + lam0 lam p = (u^2 - r^2)/p. None divides by p or
+    subtracts nearly equal terms (psi4's bracket cancels at most a quarter
+    of its first term), so each keeps full precision for every p/r >= 0.
+    At p = 0 a PSD P has Ph = 0: zeros; k <= 0 (P indefinite along H): NaNs.
 
     Args:
         index: Term index, 0..4.
@@ -263,24 +267,20 @@ def psi_term(coeffs: FlowCoefficients, index: int, lam: float, lam0: float) -> A
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")
-    ratio, _, _ = _bundle_map_scalars(coeffs, lam, lam0)
-    if coeffs.p == 0.0:
-        return np.zeros(coeffs.P.shape[0])
-
-    p, r, w = coeffs.p, coeffs.r, coeffs.w
-    k1 = k_eval(coeffs, lam)
-    k0 = k_eval(coeffs, lam0)
-    Mx = coeffs.Ph * float(coeffs.H @ coeffs.xbar)  # M @ xbar
-
-    psi0 = (2.0 / 3.0) * (w / p) * (k1 - k0 * ratio)
-    psi1 = (Mx / p) * (ratio - 1.0)
-    psi2 = (w / p) * ((2.0 * r - p * lam) - ratio * (2.0 * r - p * lam0))
-    psi3 = (Mx / p) * ((p * lam + 2.0 * r) / k1 - (p * lam0 + 2.0 * r) * ratio / k0)
-    psi4 = (w / (3.0 * p)) * (
-        (p * p * lam * lam - 4.0 * p * r * lam - 8.0 * r * r) / k1
-        - (p * p * lam0 * lam0 - 4.0 * p * r * lam0 - 8.0 * r * r) * ratio / k0
-    )
-    return [psi0, psi1, psi2, psi3, psi4][index]
+    s, scale, _ = _bundle_map_scalars(coeffs, lam, lam0)
+    p, r = coeffs.p, coeffs.r
+    k0, k1 = lam0 * p + r, lam * p + r
+    u = s * k1
+    D = r * (lam0 + lam) + lam0 * lam * p
+    factor = (
+        -2.0 / 3.0 * (k0 + u + k1),
+        1.0,
+        p * (lam0 + lam + D / (u + r)),
+        -p * D / (u * (u + r)),
+        -p * p * ((lam0 + lam) * D * (u + 3.0 * r) / (u + r) + lam0 * lam * (u - 3.0 * r)) / (3.0 * u * (u + r)),
+    )[index]
+    vector = coeffs.Ph * float(coeffs.H @ coeffs.xbar) if index in (1, 3) else coeffs.w
+    return scale * factor * vector
 
 
 def analytic_flow_map(coeffs: FlowCoefficients, lam: float, lam0: float) -> tuple[Array, Array]:
