@@ -5,14 +5,13 @@ predicted covariance the flow drift needs, and doubles as the baseline
 estimator in the benchmarks.
 
 A scalar measurement makes S = H P H^T + R 1x1, and a 1-D state the
-covariance. The helpers below decide that case by shape and do only the
+covariance. The helpers decide that case by shape and do only the
 arithmetic np.linalg and np.matmul would, without their per-call
-overhead (a 1x1 LAPACK call costs ~7 us): `_cholesky` takes the square
-root, `_whiten` multiplies by the factor's reciprocal, which is what
-OpenBLAS's solve computes (dividing would round differently in about half
-the cases), and `_update_products` forms W^T e and W^T W as broadcast
-products, since with inner dimension 1 each entry has one term. So every
-result equals the general path's bit for bit.
+overhead: `model._cholesky` takes the square root, `_whiten` multiplies
+by the factor's reciprocal, as OpenBLAS's solve does (dividing would
+round differently in about half the cases), and `_update_products` forms
+W^T e and W^T W by broadcasting, since with inner dimension 1 each entry
+has one term. So every result equals the general path's bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel
+from .model import SystemModel, _cholesky
 
 Array = np.ndarray
 
@@ -36,7 +35,7 @@ class GaussianBelief:
     definiteness is detected and repaired, not guaranteed: the update
     passes its result through `_ensure_positive_definite`, which leaves an
     SPD covariance untouched and lifts a round-off-negative eigenvalue to
-    a small floor. A 1x1 covariance is checked without LAPACK (`_cholesky`).
+    a small floor.
     """
 
     mean: Array
@@ -45,20 +44,6 @@ class GaussianBelief:
 
 def _symmetrize(P: Array) -> Array:
     return 0.5 * (P + P.T)
-
-
-def _cholesky(A: Array) -> Array:
-    """Lower Cholesky factor of an SPD A; a 1x1 A takes its square root.
-
-    Raises LinAlgError where LAPACK's dpotrf does: for a 1x1 A exactly when
-    a <= 0, so NaN and +inf pass (as factors NaN and inf) and reach the
-    caller's divergence check.
-    """
-    if A.shape[-1] == 1:
-        if A[0, 0] <= 0.0:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return np.sqrt(A)
-    return np.linalg.cholesky(A)
 
 
 def _whiten(L: Array, B: Array) -> Array:

@@ -27,6 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import _cholesky
+
 Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,7 @@ def validate_flow_inputs(P: Array, R: Array) -> Array:
     if not np.array_equal(P, P.T):
         raise ValueError("P is not symmetric positive definite (P != P^T)")
     try:
-        return np.linalg.cholesky(P)
+        return _cholesky(P)
     except np.linalg.LinAlgError as exc:
         raise ValueError("P is not symmetric positive definite") from exc
 

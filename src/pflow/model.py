@@ -93,6 +93,20 @@ class Trajectory:
         return len(self.states)
 
 
+def _cholesky(A: Array) -> Array:
+    """Lower Cholesky factor of an SPD A: every factor in pflow comes from here.
+
+    A 1x1 A takes its square root, LAPACK's bytes without a ~7 us call, and
+    raises LinAlgError where dpotrf does: exactly when a <= 0, so NaN and
+    +inf pass (as factors NaN and inf) to the caller's divergence check.
+    """
+    if A.shape == (1, 1):
+        if A[0, 0] <= 0.0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return np.sqrt(A)
+    return np.linalg.cholesky(A)
+
+
 def _cholesky_or_zero(cov: Array) -> Array:
     """Lower Cholesky factor of a covariance, or zeros for the zero matrix.
 
@@ -100,9 +114,7 @@ def _cholesky_or_zero(cov: Array) -> Array:
     are replaced by zero.
     """
     cov = np.asarray(cov, dtype=float)
-    if not np.any(cov):
-        return np.zeros_like(cov)
-    return np.linalg.cholesky(cov)
+    return _cholesky(cov) if np.any(cov) else np.zeros_like(cov)
 
 
 def ungm_model() -> SystemModel:
@@ -177,10 +189,10 @@ def random_coupled_model(dim: int, rng: np.random.Generator) -> SystemModel:
     t_q = rng.uniform(size=(dim, dim))
     Q = t_q @ t_q.T
     try:
-        np.linalg.cholesky(Q)
+        _cholesky(Q)
     except np.linalg.LinAlgError:
         Q = Q + _Q_JITTER * np.eye(dim)
-        np.linalg.cholesky(Q)  # must succeed after jitter
+        _cholesky(Q)  # must succeed after jitter
 
     # One matrix-vector product per row: bit-identical to F @ x and x @ x
     # on every row, which a stack-wide X @ F.T is not.

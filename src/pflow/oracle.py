@@ -24,10 +24,13 @@ Array = np.ndarray
 
 
 # Adaptive quadrature stops a panel when its error estimate is below the
-# larger of these tolerances, and gives up past this subdivision depth.
+# larger of these tolerances, and gives up past this subdivision depth or
+# this many integrand evaluations in one call (a `pflow verify` pass needs
+# at most a few hundred, an instance at p/r = 1e15 about 1,800).
 QUADRATURE_ABSOLUTE_TOLERANCE = 1e-10
 QUADRATURE_RELATIVE_TOLERANCE = 1e-9
 QUADRATURE_MAX_DEPTH = 50
+QUADRATURE_MAX_EVALUATIONS = 10_000
 
 # Steps of the flow integrator whose drift is tabulated at once.
 FLOW_TABLE_STEPS = 1024
@@ -157,8 +160,15 @@ def _adaptive_simpson(
     """Adaptive Simpson rule for vector-valued integrands."""
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    evaluations = 3
 
     def recurse(a: float, b: float, fa: Array, fm: Array, fb: Array, whole: Array, depth: int) -> Array:
+        nonlocal evaluations
+        evaluations += 2
+        if evaluations > QUADRATURE_MAX_EVALUATIONS:
+            raise RuntimeError(
+                f"quadrature evaluation budget ({QUADRATURE_MAX_EVALUATIONS}) exceeded on [{a}, {b}]"
+            )
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         flm, frm = f(lm), f(rm)
@@ -216,8 +226,8 @@ def quadrature_inhomogeneous(
 
     Raises:
         ValueError: For an index outside 0..4.
-        RuntimeError: If the subdivision limit is exceeded (should not
-            happen since k(tau) is bounded away from zero).
+        RuntimeError: If the subdivision depth or evaluation budget is
+            exceeded (should not happen since k(tau) is bounded away from zero).
     """
     if index not in (0, 1, 2, 3, 4):
         raise ValueError(f"psi index must be in 0..4, got {index}")

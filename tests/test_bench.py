@@ -198,6 +198,60 @@ class TestEmitters:
             emit_csv(normalize_vs_ekf([]), "/nonexistent-dir/results.csv")
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+class TestScatterGeometry:
+    """Where `emit_scatter_svg` puts the reference table's data markers:
+    a 640x480 canvas with a 60-pixel margin around the plot area, x the
+    log10 relative runtime and y the relative RMSE, each axis padded by 5%
+    of the data range at both ends."""
+
+    WIDTH, HEIGHT, MARGIN = 640, 480, 60
+
+    @pytest.fixture
+    def placed(self, tmp_path):
+        """(log10 runtime, RMSE, cx, cy) per row; data markers carry a title."""
+        rows = normalize_vs_ekf(reference_records())
+        path = tmp_path / "plot.svg"
+        emit_scatter_svg(rows, str(path))
+        markers = {
+            c.find(f"{SVG}title").text: (float(c.get("cx")), float(c.get("cy")))
+            for c in ElementTree.parse(path).getroot().iter(f"{SVG}circle")
+            if c.find(f"{SVG}title") is not None
+        }
+        assert len(markers) == len(rows) == 20
+        return [
+            (np.log10(r.runtime_rel_ekf), r.rmse_rel_ekf, *markers[f"{r.filter} N_p={r.particles}"])
+            for r in rows
+        ]
+
+    def test_markers_lie_inside_the_plot_area(self, placed):
+        for _, _, cx, cy in placed:
+            assert self.MARGIN <= cx <= self.WIDTH - self.MARGIN
+            assert self.MARGIN <= cy <= self.HEIGHT - self.MARGIN
+
+    def test_marker_order_follows_the_data(self, placed):
+        # SVG y grows downward, so a larger RMSE sits higher.
+        for x1, y1, cx1, cy1 in placed:
+            for x2, y2, cx2, cy2 in placed:
+                assert (x1 < x2) == (cx1 < cx2)
+                assert (y1 < y2) == (cy1 > cy2)
+
+    def test_extreme_markers_sit_five_percent_in(self, placed):
+        # 5% of the data range is 0.05 / 1.1 of the padded axis; positions
+        # are written to 0.1 px.
+        inset = 0.05 / 1.1
+        plot_w = self.WIDTH - 2 * self.MARGIN
+        plot_h = self.HEIGHT - 2 * self.MARGIN
+        cxs = [cx for _, _, cx, _ in placed]
+        cys = [cy for _, _, _, cy in placed]
+        assert min(cxs) == pytest.approx(self.MARGIN + inset * plot_w, abs=0.051)
+        assert max(cxs) == pytest.approx(self.WIDTH - self.MARGIN - inset * plot_w, abs=0.051)
+        assert min(cys) == pytest.approx(self.MARGIN + inset * plot_h, abs=0.051)
+        assert max(cys) == pytest.approx(self.HEIGHT - self.MARGIN - inset * plot_h, abs=0.051)
+
+
 class TestBenchConfig:
     def test_defaults_valid(self):
         config = BenchConfig()

@@ -45,8 +45,17 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out.startswith("k,x1,z1\n")
 
+    def test_zero_steps_writes_the_header_only(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--steps", "0", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "k,x1,z1\n"
+
 
 class TestVerify:
+    def test_one_instance_passes(self, capsys):
+        assert main(["verify", "--instances", "1", "--seed", "2"]) == 0
+        assert "all closed forms verified" in capsys.readouterr().out
+
     def test_small_run_passes(self, capsys):
         code = main(["verify", "--instances", "6", "--seed", "2"])
         captured = capsys.readouterr()

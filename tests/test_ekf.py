@@ -14,7 +14,8 @@ from pflow.ekf import (
     ekf_predict,
     ekf_update,
 )
-from pflow.model import ungm_model
+from pflow.flow_core import validate_flow_inputs
+from pflow.model import _cholesky_or_zero, ungm_model
 from pflow.oracle import kalman_posterior
 
 
@@ -167,6 +168,29 @@ class TestScalarPath:
         for a in np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 5000)):
             A = np.array([[a]])
             assert _cholesky(A).tobytes() == np.linalg.cholesky(A).tobytes()
+
+    @pytest.mark.parametrize(
+        "factor",
+        [_cholesky_or_zero, lambda P: validate_flow_inputs(P, 1.0)],
+        ids=["cholesky_or_zero", "validate_flow_inputs"],
+    )
+    def test_every_covariance_factor_is_lapack_bit_for_bit(self, factor):
+        # The noise factors of `simulate` and `run_filter` and the initial
+        # covariance's factor take the same path as the EKF's.
+        rng = np.random.default_rng(12)
+        for a in np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 1000)):
+            A = np.array([[a]])
+            assert factor(A).tobytes() == np.linalg.cholesky(A).tobytes()
+        for n in (2, 3, 10, 100):
+            B = rng.standard_normal((n, n))
+            A = B @ B.T + 1e-3 * np.eye(n)
+            A = 0.5 * (A + A.T)
+            assert factor(A).tobytes() == np.linalg.cholesky(A).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_covariance_factors_to_zeros(self, n):
+        out = _cholesky_or_zero(np.zeros((n, n)))
+        assert out.tobytes() == np.zeros((n, n)).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -72,9 +72,12 @@ class TestBuildCoefficients:
         assert c.p == 0.0
         assert np.array_equal(c.Ph, np.zeros(2))
 
-    def test_rejects_nonspd_covariance(self):
+    # A 0-d or 1-D P is not a matrix and fails the factorization, not an index.
+    @pytest.mark.parametrize("P", [-np.eye(2), [[-1.0]], [[0.0]], 2.0, [2.0]],
+                             ids=["2x2", "1x1-negative", "1x1-zero", "0-d", "1-D"])
+    def test_rejects_nonspd_covariance(self, P):
         with pytest.raises(ValueError, match="positive definite"):
-            build_coefficients(-np.eye(2), [1.0, 0.0], 1.0, 1.0, np.zeros(2))
+            build_coefficients(P, [1.0, 0.0], 1.0, 1.0, np.zeros(2))
 
     def test_rejects_nonsymmetric_covariance(self):
         # Cholesky reads one triangle; this P would factor as the identity.

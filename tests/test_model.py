@@ -1,8 +1,13 @@
 """Tests for the benchmark system models and trajectory simulation."""
 
+import ast
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
+import pflow
 from conftest import linear_model
 from pflow.model import (
     _MAX_TF_CONDITION,
@@ -30,6 +35,13 @@ class TestUngmModel:
         np.testing.assert_allclose(
             m.transition(np.array([0.0]), 1), [2.898862035813389], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("x", [-3.0, 0.5, 2.0])
+    def test_transition_at_later_steps(self, x, k):
+        m = ungm_model()
+        expected = x / 2 + 25 * x / (1 + x * x) + 8 * math.cos(1.2 * k)
+        np.testing.assert_allclose(m.transition(np.array([x]), k), [expected], rtol=1e-12)
 
     def test_transition_jacobian_at_origin(self):
         m = ungm_model()
@@ -234,3 +246,26 @@ class TestJacobianCheck:
         m = random_coupled_model(6, rng)
         x = rng.standard_normal(6)
         assert jacobian_check(m, x, 1) < 1e-5
+
+
+def _names_cholesky(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "cholesky"
+    if isinstance(node, ast.Name):
+        return node.id == "cholesky"
+    return isinstance(node, ast.alias) and node.name == "cholesky"
+
+
+def test_cholesky_is_called_in_one_place():
+    """Every covariance factor goes through `model._cholesky`: nothing else
+    in pflow names `cholesky` (a call, an alias or an import), so no other
+    path can take a 1x1 factor through LAPACK or factor by another rule."""
+    uses = []
+    for path in sorted(pathlib.Path(pflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function (ast.walk visits outer ones first)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        uses += [(path.name, owner.get(id(n), "<module>")) for n in ast.walk(tree) if _names_cholesky(n)]
+    assert uses == [("model.py", "_cholesky")]

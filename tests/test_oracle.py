@@ -1,6 +1,7 @@
 """Tests for the independent numerical validators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ class TestQuadrature:
         c = FlowCoefficients(np.eye(2), np.array([1.0, 0.5]), 1.0, math.nan, np.zeros(2))
         out = quadrature_inhomogeneous(c, 0, 1.0, 0.0)
         assert out.shape == (2,) and np.isnan(out).all()
+
+    def test_integrand_that_never_converges_exhausts_the_budget(self):
+        # Fresh noise on every call keeps each panel's error estimate at
+        # the noise level times its width, so panels would halve to about
+        # 1e-10 wide (some 2^33 of them) without reaching the depth limit:
+        # only the evaluation budget stops the call.
+        rng = np.random.default_rng(5)
+        taus = []
+
+        def noise(tau):
+            taus.append(tau)
+            return rng.standard_normal(3)
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="evaluation budget"):
+            pflow.oracle._adaptive_simpson(noise, 0.0, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(taus) <= pflow.oracle.QUADRATURE_MAX_EVALUATIONS
 
 
 class TestKalmanPosterior:
