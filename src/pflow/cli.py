@@ -39,6 +39,15 @@ SEED_ENV_VAR = "PFLOW_SEED"
 THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas_version() -> str:
+    """Name and version of the BLAS numpy was built against, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (KeyError, TypeError, ValueError):
+        return "unknown"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pflow", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pflow {__version__}")
@@ -113,9 +122,10 @@ def _cmd_bench(config: BenchConfig, strict: bool) -> int:
         },
         "run_records": len(records),
         "failed_runs": len(failed),
-        # Coupled-model figures depend on the BLAS thread count.
+        # Coupled-model figures depend on the BLAS build and its thread count.
         "environment": {
             "numpy_version": np.__version__,
+            "blas": _blas_version(),
             "thread_variables": {var: os.environ.get(var) for var in THREAD_ENV_VARS},
         },
     }

@@ -7,11 +7,14 @@ estimator in the benchmarks.
 A scalar measurement makes S = H P H^T + R 1x1, and a 1-D state the
 covariance. The helpers decide that case by shape and do only the
 arithmetic np.linalg and np.matmul would, without their per-call
-overhead: `model._cholesky` takes the square root, `_whiten` multiplies
-by the factor's reciprocal, as OpenBLAS's solve does (dividing would
-round differently in about half the cases), and `_update_products` forms
-W^T e and W^T W by broadcasting, since with inner dimension 1 each entry
-has one term. So every result equals the general path's bit for bit.
+overhead: `model._cholesky`, the factor rule, takes the square root;
+`_whiten` multiplies by the factor's reciprocal, as OpenBLAS's solve does
+(dividing would round differently in about half the cases); and
+`model._matmul`, the product rule, forms every product with inner
+dimension 1 (H P, H P H^T, W^T e and W^T W when n_z = 1, and all of them
+when n_x = 1) by broadcasting, since each entry then has one term. So
+every result equals the general path's, bit for bit but for the sign of a
+zero product.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel, _cholesky
+from .model import SystemModel, _cholesky, _matmul
 
 Array = np.ndarray
 
@@ -46,18 +49,17 @@ def _symmetrize(P: Array) -> Array:
     return 0.5 * (P + P.T)
 
 
-def _whiten(L: Array, B: Array) -> Array:
-    """L^-1 B for a lower-triangular L; a 1x1 L multiplies by 1 / l, as OpenBLAS does."""
+def _whiten(L: Array, HP: Array, innovation: Array) -> tuple[Array, Array]:
+    """W = L^-1 H P and e = L^-1 innovation for a lower-triangular L.
+
+    A 1x1 L multiplies both by 1 / l, as OpenBLAS's solve does; a larger L
+    solves for both in one call, as one right-hand-side block.
+    """
     if L.shape[-1] == 1:
-        return B * (1.0 / L[0, 0])
-    return np.linalg.solve(L, B)
-
-
-def _update_products(W: Array, e: Array) -> tuple[Array, Array]:
-    """W^T e and W^T W; a single measurement row multiplies by broadcasting."""
-    if W.shape[0] == 1:
-        return W[0] * e, W.T * W
-    return W.T @ e, W.T @ W
+        inverse = 1.0 / L[0, 0]
+        return HP * inverse, innovation * inverse
+    whitened = np.linalg.solve(L, np.concatenate((HP, innovation[:, np.newaxis]), axis=1))
+    return whitened[:, :-1], whitened[:, -1]
 
 
 _PD_JITTER = 1e-12
@@ -92,7 +94,7 @@ def ekf_predict(belief: GaussianBelief, model: SystemModel, k: int) -> GaussianB
     """
     G = np.atleast_2d(model.transition_jacobian(belief.mean, k))
     mean = model.transition(belief.mean, k)
-    covariance = _symmetrize(G @ belief.covariance @ G.T + model.Q)
+    covariance = _symmetrize(_matmul(_matmul(G, belief.covariance), G.T) + model.Q)
     return GaussianBelief(mean=mean, covariance=covariance)
 
 
@@ -111,13 +113,15 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
     Raises:
         np.linalg.LinAlgError: If the innovation covariance is not
             positive definite (R was not SPD - a construction bug).
+        ValueError: If z - h(mean) does not have one entry per
+            measurement row (a mis-shaped model or measurement).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     H = np.atleast_2d(model.measurement_jacobian(belief.mean))
     P = belief.covariance
 
-    HP = H @ P
-    S = HP @ H.T + model.R
+    HP = _matmul(H, P)
+    S = _matmul(HP, H.T) + model.R
     try:
         L = _cholesky(S)
     except np.linalg.LinAlgError as exc:
@@ -126,9 +130,11 @@ def ekf_update(belief: GaussianBelief, model: SystemModel, z: Array) -> Gaussian
         ) from exc
 
     innovation = z - model.measurement(belief.mean)
-    whitened = _whiten(L, np.concatenate((HP, innovation[:, np.newaxis]), axis=1))
-    W, e = whitened[:, :-1], whitened[:, -1]
-    mean_shift, covariance_drop = _update_products(W, e)
-    mean = belief.mean + mean_shift
-    covariance = _ensure_positive_definite(P - covariance_drop)
+    if innovation.shape != HP.shape[:1]:
+        raise ValueError(
+            f"innovation z - h(mean) has shape {innovation.shape}, expected {HP.shape[:1]}"
+        )
+    W, e = _whiten(L, HP, innovation)
+    mean = belief.mean + _matmul(W.T, e)
+    covariance = _ensure_positive_definite(P - _matmul(W.T, W))
     return GaussianBelief(mean=mean, covariance=covariance)

@@ -65,7 +65,7 @@ from .flow_core import (
     drift_matrix_A,
     drift_vector_b,
 )
-from .model import SystemModel, Trajectory, _cholesky_or_zero
+from .model import SystemModel, Trajectory, _cholesky_or_zero, _matmul
 
 Array = np.ndarray
 
@@ -119,10 +119,10 @@ def _lambda_points(n_steps: int) -> list[float]:
 
 def _ensemble_mean(particles: Array) -> Array:
     """particles.mean(axis=0), bit for bit, without np.mean's dispatch."""
-    return particles.sum(axis=0) / particles.shape[0]
+    return np.add.reduce(particles, axis=0) / particles.shape[0]
 
 
-def _linearized_measurement(z: Array, h_lin: Array, Hx_lin: Array) -> Array:
+def _linearized_measurement(z: Array | float, h_lin: Array | float, Hx_lin: Array | float) -> Array | float:
     """Pseudo-measurement of the model linearized at x_lin, given h(x_lin) and H x_lin.
 
     z - h(x_lin) + H x_lin; reduces to z when h is linear through the
@@ -144,7 +144,7 @@ def predict_particles(
     lower Cholesky factor of model.Q, factored once per run by the caller.
     """
     propagated = model.transition(particles, k)
-    return propagated + rng.standard_normal(propagated.shape) @ chol_q.T
+    return propagated + _matmul(rng.standard_normal(propagated.shape), chol_q.T)
 
 
 def edh_update(
@@ -171,12 +171,12 @@ def edh_update(
     for lam0, lam in zip(grid, grid[1:]):
         x_lin = _ensemble_mean(X) if lam0 > 0.0 else xbar0
         H = np.atleast_2d(model.measurement_jacobian(x_lin))
-        z_lin = _linearized_measurement(z, model.measurement(x_lin), H @ x_lin)
-        PHt = P_pred @ H.T
+        z_lin = _linearized_measurement(z, model.measurement(x_lin), _matmul(H, x_lin))
+        PHt = _matmul(P_pred, H.T)
         S = _drift_S(PHt, H, model.R, lam)
         A = _drift_matrix(PHt, S, H)
         b = _euler_drift(PHt, S, H, model.R, z_lin, xbar0, 0.0)
-        X = X + (X @ A.T + b) * (lam - lam0)
+        X = X + (_matmul(X, A.T) + b) * (lam - lam0)
     return X
 
 
@@ -205,8 +205,8 @@ def ledh_update(
     for lam0, lam in zip(grid, grid[1:]):
         for i, x in enumerate(X):
             H[i] = model.measurement_jacobian(x)
-        PHt = np.swapaxes((H.reshape(-1, model.n_x) @ P_pred.T).reshape(H.shape), -1, -2)
-        Hx = np.matmul(H, X[..., np.newaxis])[..., 0]
+        PHt = np.swapaxes(_matmul(H.reshape(-1, model.n_x), P_pred.T).reshape(H.shape), -1, -2)
+        Hx = _matmul(H, X[..., np.newaxis])[..., 0]
         z_lin = _linearized_measurement(z, model.measurement(X), Hx)
         S = _drift_S(PHt, H, model.R, lam)
         X = X + _euler_drift(PHt, S, H, model.R, z_lin, xbar0, Hx) * (lam - lam0)
@@ -250,12 +250,14 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
         b = np.empty(len(intervals))
         for j, (lam0, lam) in enumerate(intervals):
             H = np.asarray(model.measurement_jacobian(xbar), dtype=float).reshape(-1)
-            Ph = P_pred @ H
-            Hx = H @ xbar
-            z_lin = _linearized_measurement(z, model.measurement(xbar)[0], Hx)
-            _, scale, c = _map_scalars(float(H @ Ph), r, float(z_lin), float(H @ xbar0), lam, lam0)
+            Ph = _matmul(P_pred, H)
+            Hx = float(_matmul(H, xbar))
+            # At lambda_0 = 0 the carried mean is the start mean.
+            h_xbar0 = Hx if lam0 == 0.0 else float(_matmul(H, xbar0))
+            z_lin = _linearized_measurement(z, float(model.measurement(xbar)[0]), Hx)
+            _, scale, c = _map_scalars(float(_matmul(H, Ph)), r, z_lin, h_xbar0, lam, lam0)
             if j:  # the first sub-map of a block has nothing to compose with
-                HPh = Phs[:j] @ H
+                HPh = _matmul(Phs[:j], H)
                 W[j] = scale * (H + HPh @ W[:j])
                 b[j] = scale * (HPh @ b[:j]) + c
             else:
@@ -355,6 +357,9 @@ def run_filter(
         update = _UPDATES[config.variant]
         chol_q = _cholesky_or_zero(model.Q)
 
+    # 0 . x is NaN exactly when some x_i is +-inf or NaN, and never overflows;
+    # np.vdot raises no floating-point warning on 0 * inf.
+    zero = np.zeros(n)
     estimates = np.empty((trajectory.steps, n))
     for k in range(1, trajectory.steps + 1):
         predicted = ekf_predict(belief, model, k)
@@ -364,7 +369,7 @@ def run_filter(
             particles = update(particles, predicted.covariance, model, z, config)
         belief = ekf_update(predicted, model, z)
         estimate = belief.mean if particles is None else _ensemble_mean(particles)
-        if not np.isfinite(estimate).all():
+        if np.vdot(zero, estimate) != 0.0:
             raise FilterDivergenceError(step=k)
         estimates[k - 1] = estimate
     return estimates

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _cholesky
+from .model import _cholesky, _matmul
 
 Array = np.ndarray
 
@@ -139,9 +139,12 @@ def k_eval(coeffs: FlowCoefficients, lam: float) -> float:
 def _times_S_inverse(L: Array, S: Array, B: Array) -> Array:
     """L S^-1 B for one S or a stack, L (..., m, n_z) and B (..., n_z, k).
 
-    A 1x1 S divides (np.linalg.solve costs ~10 us), and both products then
-    have inner dimension 1: one term each, so a broadcast multiply gives
-    np.matmul's values bit for bit without one BLAS call per matrix.
+    A 1x1 S divides (np.linalg.solve costs ~10 us), as `model._cholesky`'s
+    factor rule takes a 1x1 square root. The product with L then has inner
+    dimension 1, so it is the broadcast multiply of `model._matmul`'s
+    product rule, written out because the shape is already known: one term
+    per entry, np.matmul's values without one small matmul per matrix of a
+    stack.
     """
     if S.shape[-1] == 1:
         return L * (B / S)
@@ -150,7 +153,7 @@ def _times_S_inverse(L: Array, S: Array, B: Array) -> Array:
 
 def _drift_S(PHt: Array, H: Array, R: Array, lam: float) -> Array:
     """S = lambda H P H^T + R, the matrix every drift term solves against."""
-    return lam * (H @ PHt) + R
+    return lam * _matmul(H, PHt) + R
 
 
 def _drift_matrix(PHt: Array, S: Array, H: Array) -> Array:
@@ -182,7 +185,7 @@ def _euler_drift(PHt: Array, S: Array, H: Array, R: Array, z: Array, xbar: Array
     S^-1 go through `_times_S_inverse`, so a stack of single measurement
     rows costs broadcast multiplies, not one small matmul per particle.
     """
-    innovation = (z - H @ xbar)[..., np.newaxis]
+    innovation = (z - _matmul(H, xbar))[..., np.newaxis]
     v = (z - Hx)[..., np.newaxis] + _times_S_inverse(R, S, innovation)
     return 0.5 * _times_S_inverse(PHt, S, v)[..., 0]
 
@@ -299,9 +302,10 @@ def _move_ensemble(X: Array, W: Array, b: Array, Phs: Array) -> Array:
     """X + (X W^T + b) Phs: the (count, n_x) ensemble through a block of composed rank-one sub-maps.
 
     Row j of the (block, n_x) W and Phs and of the (block,) b holds sub-map
-    j's composed linear part, P H_j^T and offset.
+    j's composed linear part, P H_j^T and offset. With one sub-map the
+    second product is an outer product, which `model._matmul` broadcasts.
     """
-    return X + (X @ W.T + b) @ Phs
+    return X + _matmul(_matmul(X, W.T) + b, Phs)
 
 
 def apply_flow_ensemble(coeffs: FlowCoefficients, particles: Array, lam: float, lam0: float) -> Array:

@@ -107,6 +107,25 @@ def _cholesky(A: Array) -> Array:
     return np.linalg.cholesky(A)
 
 
+def _matmul(A: Array, B: Array) -> Array:
+    """A @ B for operands of one or more dimensions: the product rule of a time step.
+
+    When both inner dimensions are 1, each entry is one multiplication, so
+    the broadcast product has np.matmul's values without its ~1 us dispatch;
+    a 1-D operand loses its axis as in np.matmul. The one bit that can
+    differ is the sign of a zero: a -0.0 product stays -0.0, where
+    np.matmul's zero-started sum returns +0.0. Every other shape, a
+    mismatched inner dimension included, goes to A @ B.
+    """
+    if A.shape[-1] == 1:
+        if B.ndim > 1:
+            if B.shape[-2] == 1:
+                return A * B if A.ndim > 1 else A[0] * B[..., 0, :]
+        elif B.shape[0] == 1:
+            return A[..., 0] * B if A.ndim > 1 else A[0] * B[0]
+    return A @ B
+
+
 def _cholesky_or_zero(cov: Array) -> Array:
     """Lower Cholesky factor of a covariance, or zeros for the zero matrix.
 

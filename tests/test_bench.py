@@ -22,7 +22,7 @@ from pflow.bench import (
     run_benchmark,
 )
 from pflow.filters import FILTER_NAMES
-from pflow.model import Trajectory, ungm_model
+from pflow.model import Trajectory, random_coupled_model, ungm_model
 
 
 def record(filter_name, particles, rmse_value, runtime, run_index=0, **kw):
@@ -480,4 +480,38 @@ class TestRunBenchmark:
             filters=("EKF",), master_seed=3,
         )
         with pytest.raises(ValueError):
+            run_benchmark(config)
+
+    @pytest.mark.parametrize("variant", ["EKF", "A-EDH"])
+    @pytest.mark.parametrize("bug", ["two_values", "extra_axis"])
+    @pytest.mark.parametrize("model", ["coupled", "ungm"])
+    def test_misshaped_measurement_propagates(self, monkeypatch, model, bug, variant):
+        # The same kind of bug on a 3-state model, and a measurement that
+        # returns shape (1, 1) for one state: the EKF's innovation then has
+        # the wrong shape, and no broadcast product may absorb it in place
+        # of the shape error that @ or the concatenation raised.
+        def broken(build):
+            def build_broken(*args):
+                model = build(*args)
+                h = model.measurement
+
+                def measurement(x):
+                    if x.ndim == 2:
+                        return h(x)
+                    return np.repeat(h(x), 2) if bug == "two_values" else h(x)[np.newaxis]
+
+                return dataclasses.replace(model, measurement=measurement)
+
+            return build_broken
+
+        monkeypatch.setattr("pflow.bench.random_coupled_model", broken(random_coupled_model))
+        monkeypatch.setattr("pflow.bench.ungm_model", broken(ungm_model))
+        config = BenchConfig(
+            model=model, dims=(3,) if model == "coupled" else (1,), particle_counts=(5,),
+            mc_runs=1, trajectory_steps=3, filters=(variant,), master_seed=3,
+        )
+        # A-EDH's flow, which runs before its EKF update, takes h's one entry
+        # as a float and meets the extra axis first, as a TypeError.
+        expected = TypeError if (variant, bug) == ("A-EDH", "extra_axis") else ValueError
+        with pytest.raises(expected):
             run_benchmark(config)

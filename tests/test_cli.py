@@ -12,7 +12,7 @@ import pytest
 import pflow.flow_core
 import pflow.oracle
 from pflow.bench import BenchConfig
-from pflow.cli import _build_parser, main
+from pflow.cli import _blas_version, _build_parser, main
 from pflow.model import ungm_model
 
 
@@ -186,10 +186,26 @@ class TestBench:
         metadata = json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8"))
         assert metadata["environment"] == {
             "numpy_version": np.__version__,
+            "blas": _blas_version(),
             "thread_variables": {
                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
             },
         }
+
+    def test_metadata_records_the_blas_build(self, tmp_path, monkeypatch):
+        # Coupled figures reproduce only on one BLAS build, so the sidecar names it.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert main(self._args(tmp_path / "a", ("--no-timing",))) == 0
+        metadata = json.loads((tmp_path / "a" / "metadata.json").read_text(encoding="utf-8"))
+        assert metadata["environment"]["blas"] == f"{blas['name']} {blas['version']}"
+
+        def no_config(mode):
+            raise KeyError("Build Dependencies")
+
+        monkeypatch.setattr(np, "show_config", no_config)
+        assert main(self._args(tmp_path / "b", ("--no-timing",))) == 0
+        metadata = json.loads((tmp_path / "b" / "metadata.json").read_text(encoding="utf-8"))
+        assert metadata["environment"]["blas"] == "unknown"
 
     def test_no_timing_is_byte_identical(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -223,8 +223,7 @@ def _matmul_update(P, H, R, z, xbar):
     and whether its posterior needed the repair."""
     HP = H @ P
     L = _cholesky(HP @ H.T + R)
-    whitened = _whiten(L, np.column_stack((HP, z - H @ xbar)))
-    W, e = whitened[:, :-1], whitened[:, -1]
+    W, e = _whiten(L, HP, z - H @ xbar)
     C = P - W.T @ W
     repaired = _ensure_positive_definite(C)
     return xbar + W.T @ e, repaired, repaired is not C

@@ -925,6 +925,40 @@ class TestRunFilter:
             run_filter(m, traj, FilterConfig(variant="EKF"), np.random.default_rng(0))
         assert info.value.step == 3
 
+    @staticmethod
+    def _scheduled_model(schedule):
+        # The EKF's estimate is its predicted mean, the k-th row of the
+        # schedule: H = 0, so the update shifts the mean by 0 * e = 0 and
+        # no step does arithmetic on a nonfinite value before the check.
+        return SystemModel(
+            transition=lambda x, k: schedule[k - 1].copy(),
+            measurement=lambda x: np.zeros(x.shape[:-1] + (1,)),
+            transition_jacobian=lambda x, k: np.zeros((3, 3)),
+            measurement_jacobian=lambda x: np.zeros((1, 3)),
+            Q=np.eye(3), R=np.eye(1),
+        )
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("coordinate", [0, 1, 2])
+    def test_one_nonfinite_coordinate_is_a_divergence_at_its_step(self, value, coordinate):
+        # No errstate: the check itself must raise no floating-point warning.
+        schedule = np.arange(15.0).reshape(5, 3)
+        schedule[2, coordinate] = value
+        traj = Trajectory(states=np.zeros((5, 3)), measurements=np.ones((5, 1)))
+        with pytest.raises(FilterDivergenceError) as info:
+            run_filter(self._scheduled_model(schedule), traj, FilterConfig(variant="EKF"),
+                       np.random.default_rng(0))
+        assert info.value.step == 3
+
+    def test_finite_estimate_whose_sum_overflows_is_not_a_divergence(self):
+        # 1e308 + 1e308 overflows to inf; a check on the coordinate sum would
+        # call this finite estimate divergent.
+        schedule = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -0.0], [-1e308, -1e308, 1e308]])
+        traj = Trajectory(states=np.zeros((3, 3)), measurements=np.ones((3, 1)))
+        estimates = run_filter(self._scheduled_model(schedule), traj, FilterConfig(variant="EKF"),
+                               np.random.default_rng(0))
+        assert np.array_equal(estimates, schedule)
+
     @pytest.mark.parametrize("variant", ["EKF", "EDH", "LEDH", "A-EDH", "NA-EDH"])
     def test_rejects_nonsymmetric_initial_covariance(self, variant):
         # Cholesky reads one triangle; [[1, 5], [0, 1]] would factor as I.

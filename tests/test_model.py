@@ -12,6 +12,7 @@ from conftest import linear_model
 from pflow.model import (
     _MAX_TF_CONDITION,
     SystemModel,
+    _matmul,
     jacobian_check,
     random_coupled_model,
     simulate,
@@ -269,3 +270,57 @@ def test_cholesky_is_called_in_one_place():
                 owner.update((id(node), function.name) for node in ast.walk(function))
         uses += [(path.name, owner.get(id(n), "<module>")) for n in ast.walk(tree) if _names_cholesky(n)]
     assert uses == [("model.py", "_cholesky")]
+
+
+# (A shape, B shape) pairs of every operand kind np.matmul takes: 1-D and 2-D
+# on either side and broadcast stacks, each with inner dimension 1 and > 1.
+_MATMUL_SHAPES = [
+    ((1,), (1,)), ((4,), (4,)),
+    ((1,), (1, 3)), ((4,), (4, 3)),
+    ((3, 1), (1,)), ((3, 4), (4,)),
+    ((3, 1), (1, 5)), ((3, 4), (4, 5)), ((1, 1), (1, 1)), ((100, 1), (1, 100)),
+    ((6, 1, 4), (6, 4, 1)), ((6, 1, 1), (6, 1, 1)), ((6, 3, 1), (1, 2)),
+    ((1,), (6, 1, 2)), ((6, 3, 1), (1,)), ((2, 1, 3, 1), (5, 1, 4)), ((4, 1), (2, 1, 3)),
+]
+
+
+class TestMatmul:
+    """`_matmul` is np.matmul with inner dimension 1 formed by broadcasting."""
+
+    @pytest.mark.parametrize("shapes", _MATMUL_SHAPES, ids=str)
+    @pytest.mark.parametrize("data", ["normal", "signed_zeros"])
+    def test_matches_np_matmul(self, shapes, data):
+        rng = np.random.default_rng(sum(map(sum, shapes)))
+        A, B = (rng.standard_normal(shape) for shape in shapes)
+        if data == "signed_zeros":
+            # Zeros and -0.0 on both sides, products of both signs of zero.
+            A[A < 0.0] = -0.0
+            B.flat[::2] = 0.0
+            B.flat[1::3] = -0.0
+        out, reference = _matmul(A, B), np.matmul(A, B)
+        assert np.shape(out) == np.shape(reference)
+        assert np.asarray(out).dtype == np.asarray(reference).dtype
+        assert np.array_equal(out, reference)
+
+    def test_inner_dimension_one_keeps_every_bit_but_the_zero_sign(self):
+        # One multiplication per entry: the bytes equal np.matmul's wherever
+        # the product is not -0.0, which np.matmul's sum (0 + -0.0) makes +0.0.
+        rng = np.random.default_rng(5)
+        A = np.exp(rng.uniform(-300.0, 300.0, (200, 1))) * rng.choice([-1.0, 1.0], (200, 1))
+        B = np.exp(rng.uniform(-300.0, 300.0, (1, 50)))
+        out, reference = _matmul(A, B), A @ B
+        assert np.isfinite(out).all() and (out != 0.0).all()
+        assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "shapes", [((3, 1), (3, 4)), ((1,), (2,)), ((1, 1), (2,)), ((2,), (1,)), ((5, 4, 1), (2, 1, 3))],
+        ids=str,
+    )
+    def test_mismatched_inner_dimension_raises_as_matmul_does(self, shapes):
+        # Both factors of (3,1).(3,4) would broadcast to (3,4) as arrays; the
+        # product must not.
+        A, B = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError):
+            np.matmul(A, B)
+        with pytest.raises(ValueError):
+            _matmul(A, B)
