@@ -65,7 +65,7 @@ from .flow_core import (
     drift_matrix_A,
     drift_vector_b,
 )
-from .model import SystemModel, Trajectory, _cholesky_or_zero, _matmul
+from .model import SystemModel, Trajectory, _covariance_factor, _matmul
 
 Array = np.ndarray
 
@@ -234,7 +234,8 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
     Cost: two model callbacks, the P H^T matvec and O(block * n_x)
     recurrence work per sub-map, plus two (N, n_x, block) products per
     block; O(K (n_x + N + block) n_x) in all for K sub-maps, with no
-    n_x x n_x matrix formed.
+    n_x x n_x matrix formed. A ValueError if n_z != 1 or h(mean) is not of
+    shape (1,).
     """
     if model.n_z != 1:
         raise ValueError(f"A-EDH and NA-EDH require a scalar measurement, got n_z = {model.n_z}")
@@ -254,7 +255,10 @@ def _analytic_flow(particles: Array, P_pred: Array, model: SystemModel, z: Array
             Hx = float(_matmul(H, xbar))
             # At lambda_0 = 0 the carried mean is the start mean.
             h_xbar0 = Hx if lam0 == 0.0 else float(_matmul(H, xbar0))
-            z_lin = _linearized_measurement(z, float(model.measurement(xbar)[0]), Hx)
+            h_mean = model.measurement(xbar)
+            if np.shape(h_mean) != (1,):  # as ekf_update's innovation check
+                raise ValueError(f"h(mean) has shape {np.shape(h_mean)}, expected (1,)")
+            z_lin = _linearized_measurement(z, float(h_mean[0]), Hx)
             _, scale, c = _map_scalars(float(_matmul(H, Ph)), r, z_lin, h_xbar0, lam, lam0)
             if j:  # the first sub-map of a block has nothing to compose with
                 HPh = _matmul(Phs[:j], H)
@@ -337,8 +341,8 @@ def run_filter(
         FilterDivergenceError: At the first time step whose estimate is
             nonfinite; carries that step index. A nonfinite particle
             always makes the ensemble mean nonfinite.
-        ValueError: Before the first step, if Q is not symmetric, or if
-            R or the initial covariance is not symmetric positive definite.
+        ValueError: Before the first step, if Q fails `model._covariance_factor`
+            or R or the initial covariance `validate_flow_inputs`.
     """
     n = model.n_x
     mean0 = np.zeros(n) if config.init_mean is None else np.asarray(config.init_mean, dtype=float)
@@ -346,16 +350,12 @@ def run_filter(
     belief = GaussianBelief(mean0, cov0)
 
     # The EKF keeps P SPD from an SPD start, so only the run's inputs are checked.
-    # The particles' noise factor reads one triangle of Q and the EKF adds all
-    # of Q, so the two agree only for a symmetric Q; a zero Q is allowed.
-    if not np.array_equal(model.Q, model.Q.T):
-        raise ValueError("process noise covariance is not symmetric (Q != Q^T)")
+    chol_q = _covariance_factor(model.Q, "process noise covariance")
     chol0 = validate_flow_inputs(cov0, model.R)
     particles = None
     if config.variant != "EKF":
         particles = mean0 + rng.standard_normal((config.particle_count, n)) @ chol0.T
         update = _UPDATES[config.variant]
-        chol_q = _cholesky_or_zero(model.Q)
 
     # 0 . x is NaN exactly when some x_i is +-inf or NaN, and never overflows;
     # np.vdot raises no floating-point warning on 0 * inf.

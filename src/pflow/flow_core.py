@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _cholesky, _matmul
+from .model import _covariance_factor, _matmul
 
 Array = np.ndarray
 
@@ -86,23 +86,19 @@ def _assemble_coefficients(P: Array, H: Array, r: float, z: float, xbar: Array) 
 
 
 def validate_flow_inputs(P: Array, R: Array) -> Array:
-    """The lower Cholesky factor of P, after checking that R and P are SPD.
+    """The lower Cholesky factor of P, after checking R and P: each must pass
+    `model._covariance_factor` and be nonzero, so k = lambda H P H^T + R > 0.
 
     Raises:
-        ValueError: If R (a variance or an n_z x n_z matrix) or P is not
-            symmetric positive definite.
+        ValueError: Naming R (a variance or an n_z x n_z matrix) or P if
+            it is zero or not symmetric positive definite.
     """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if not (np.array_equal(R, R.T) and np.linalg.eigvalsh(R).min() > 0.0):
-        raise ValueError(f"measurement noise variance must be positive (R SPD), got R = {R.tolist()}")
-    P = np.asarray(P, dtype=float)
-    # Cholesky reads one triangle only, so symmetry is checked first.
-    if not np.array_equal(P, P.T):
-        raise ValueError("P is not symmetric positive definite (P != P^T)")
-    try:
-        return _cholesky(P)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("P is not symmetric positive definite") from exc
+    R = np.reshape(R, (1, 1)) if np.ndim(R) == 0 else R
+    for cov, name in ((R, "measurement noise covariance"), (P, "prior covariance")):
+        factor = _covariance_factor(cov, name)
+        if not factor.any():
+            raise ValueError(f"{name} is zero, not symmetric positive definite")
+    return factor  # P's, the last checked
 
 
 def build_coefficients(P: Array, H: Array, R: float, z: float, xbar: Array) -> FlowCoefficients:
@@ -111,24 +107,29 @@ def build_coefficients(P: Array, H: Array, R: float, z: float, xbar: Array) -> F
     Args:
         P: Predicted covariance, SPD.
         H: Measurement row, shape (n_x,) or (1, n_x).
-        R: Measurement noise variance, > 0.
-        z: Scalar measurement.
+        R: Measurement noise variance, > 0: a scalar or any one-entry array.
+        z: Scalar measurement, a scalar or any one-entry array.
         xbar: Predicted mean.
 
     Raises:
-        ValueError: If R <= 0, P is not SPD, or H or xbar is not of
-            P's order.
+        ValueError: If R or z has more than one entry, R <= 0, P is not
+            SPD (`validate_flow_inputs`), H or xbar is not of P's order,
+            or H, z or xbar is not finite.
     """
     P = np.asarray(P, dtype=float)
     H = np.asarray(H, dtype=float).reshape(-1)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    r = float(np.asarray(R).reshape(-1)[0])
-    z = float(np.asarray(z).reshape(-1)[0])
+    R = np.asarray(R, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if R.size != 1 or z.size != 1:
+        raise ValueError(f"R and z of a scalar measurement have one entry each, got R {R.shape} and z {z.shape}")
 
-    validate_flow_inputs(P, r)
+    validate_flow_inputs(P, R.reshape(1, 1))
     if H.shape != xbar.shape or H.shape != P.shape[:1]:
         raise ValueError(f"H {H.shape} and xbar {xbar.shape} must match P {P.shape}")
-    return _assemble_coefficients(P, H, r, z, xbar)
+    if not (np.isfinite(H).all() and np.isfinite(z).all() and np.isfinite(xbar).all()):
+        raise ValueError("H, z and xbar must be finite")
+    return _assemble_coefficients(P, H, R.item(), z.item(), xbar)
 
 
 def k_eval(coeffs: FlowCoefficients, lam: float) -> float:
@@ -139,8 +140,11 @@ def k_eval(coeffs: FlowCoefficients, lam: float) -> float:
 def _times_S_inverse(L: Array, S: Array, B: Array) -> Array:
     """L S^-1 B for one S or a stack, L (..., m, n_z) and B (..., n_z, k).
 
-    A 1x1 S divides (np.linalg.solve costs ~10 us), as `model._cholesky`'s
-    factor rule takes a 1x1 square root. The product with L then has inner
+    A 1x1 S divides (np.linalg.solve costs ~10 us). That is solve's
+    rounding for a B of one column, but for two or more (EDH's drift
+    matrix, B = H, when n_x > 1) OpenBLAS's solve multiplies by the
+    reciprocal, as `ekf._whiten` does, so that A can differ from solve's in
+    the last bit. The product with L then has inner
     dimension 1, so it is the broadcast multiply of `model._matmul`'s
     product rule, written out because the shape is already known: one term
     per entry, np.matmul's values without one small matmul per matrix of a

@@ -50,11 +50,11 @@ class SystemModel:
         measurement: h(x) -> measurement mean, one row per state.
         transition_jacobian: dg/dx at (x, k), shape (n_x, n_x).
         measurement_jacobian: dh/dx at x, shape (n_z, n_x).
-        Q: Process-noise covariance, symmetric positive definite.
-        R: Measurement-noise covariance, symmetric positive definite.
+        Q: Process-noise covariance, finite and SPD, or zero.
+        R: Measurement-noise covariance, finite and SPD (or zero to `simulate`).
 
     The state dimension n_x and the measurement dimension n_z are the
-    orders of Q and R.
+    orders of Q and R, which `simulate` and `run_filter` check first.
     """
 
     transition: Callable[[Array, int], Array]
@@ -126,14 +126,19 @@ def _matmul(A: Array, B: Array) -> Array:
     return A @ B
 
 
-def _cholesky_or_zero(cov: Array) -> Array:
-    """Lower Cholesky factor of a covariance, or zeros for the zero matrix.
+def _covariance_factor(cov: Array, name: str) -> Array:
+    """`_cholesky` of a covariance: the one check every covariance in pflow passes.
 
-    The all-zero case supports noise-free test limits where covariances
-    are replaced by zero.
+    Finite, symmetric (a factor reads one triangle) and positive definite, or
+    zero (the noise-free limit, factored as zeros); else a ValueError naming it.
     """
     cov = np.asarray(cov, dtype=float)
-    return _cholesky(cov) if np.any(cov) else np.zeros_like(cov)
+    try:
+        if cov.ndim == 2 and np.array_equal(cov, cov.T) and np.isfinite(cov).all():
+            return _cholesky(cov) if cov.any() else np.zeros_like(cov)
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(f"{name} is not symmetric positive definite: a covariance is finite and SPD, or zero")
 
 
 def ungm_model() -> SystemModel:
@@ -258,13 +263,16 @@ def simulate(
         x0: Initial state, shape (n_x,).
         steps: Number of steps; 0 yields an empty trajectory.
         rng: Source of randomness.
+
+    Raises:
+        ValueError: If x0 is not (n_x,) or Q or R fails `_covariance_factor`.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_x,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n_x},)")
 
-    chol_q = _cholesky_or_zero(model.Q)
-    chol_r = _cholesky_or_zero(model.R)
+    chol_q = _covariance_factor(model.Q, "process noise covariance")
+    chol_r = _covariance_factor(model.R, "measurement noise covariance")
 
     noise = rng.standard_normal((steps, model.n_x + model.n_z))
     state_noise, measurement_noise = noise[:, : model.n_x], noise[:, model.n_x :]

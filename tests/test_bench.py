@@ -510,8 +510,5 @@ class TestRunBenchmark:
             model=model, dims=(3,) if model == "coupled" else (1,), particle_counts=(5,),
             mc_runs=1, trajectory_steps=3, filters=(variant,), master_seed=3,
         )
-        # A-EDH's flow, which runs before its EKF update, takes h's one entry
-        # as a float and meets the extra axis first, as a TypeError.
-        expected = TypeError if (variant, bug) == ("A-EDH", "extra_axis") else ValueError
-        with pytest.raises(expected):
+        with pytest.raises(ValueError):
             run_benchmark(config)

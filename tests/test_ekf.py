@@ -15,7 +15,7 @@ from pflow.ekf import (
     ekf_update,
 )
 from pflow.flow_core import validate_flow_inputs
-from pflow.model import _cholesky_or_zero, ungm_model
+from pflow.model import _covariance_factor, ungm_model
 from pflow.oracle import kalman_posterior
 
 
@@ -171,8 +171,8 @@ class TestScalarPath:
 
     @pytest.mark.parametrize(
         "factor",
-        [_cholesky_or_zero, lambda P: validate_flow_inputs(P, 1.0)],
-        ids=["cholesky_or_zero", "validate_flow_inputs"],
+        [lambda P: _covariance_factor(P, "P"), lambda P: validate_flow_inputs(P, 1.0)],
+        ids=["covariance_factor", "validate_flow_inputs"],
     )
     def test_every_covariance_factor_is_lapack_bit_for_bit(self, factor):
         # The noise factors of `simulate` and `run_filter` and the initial
@@ -189,7 +189,7 @@ class TestScalarPath:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_covariance_factors_to_zeros(self, n):
-        out = _cholesky_or_zero(np.zeros((n, n)))
+        out = _covariance_factor(np.zeros((n, n)), "zero")
         assert out.tobytes() == np.zeros((n, n)).tobytes()
 
     @settings(max_examples=300, deadline=None)

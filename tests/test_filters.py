@@ -404,6 +404,18 @@ class TestAedhUpdate:
         with pytest.raises(ValueError, match="scalar measurement"):
             aedh_update(ensemble([0.0, 0.0]), np.eye(2), m, np.array([1.0, 2.0]), cfg)
 
+    # h returning two values, or shape (1, 1), for one state of an n_z = 1
+    # model: neither may be cut or converted to h's first entry.
+    @pytest.mark.parametrize("update", [aedh_update, naedh_update], ids=["A-EDH", "NA-EDH"])
+    @pytest.mark.parametrize("reshape", [lambda h: np.repeat(h, 2), lambda h: h[np.newaxis]],
+                             ids=["two_values", "extra_axis"])
+    def test_rejects_misshaped_measurement(self, update, reshape):
+        m = ungm_model()
+        broken = dataclasses.replace(m, measurement=lambda x: reshape(m.measurement(x)))
+        cfg = FilterConfig(variant="NA-EDH", particle_count=3, lambda_steps=3)
+        with pytest.raises(ValueError, match=r"h\(mean\) has shape"):
+            update(ensemble([0.5], [1.0], [1.5]), np.eye(1), broken, np.array([0.3]), cfg)
+
     def test_zero_jacobian_is_inert(self):
         m = zero_measurement_model()
         ens = ensemble([1.0, 2.0], [-1.0, 0.5])
@@ -836,7 +848,7 @@ class TestRunFilter:
         )
         traj = Trajectory(states=np.ones((3, 1)), measurements=np.ones((3, 1)))
         cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2)
-        with pytest.raises(ValueError, match="noise variance must be positive"):
+        with pytest.raises(ValueError, match="measurement noise covariance is (zero, )?not symmetric positive definite"):
             run_filter(m, traj, cfg, np.random.default_rng(0))
         assert steps_taken == []
 
@@ -857,6 +869,53 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="process noise covariance is not symmetric"):
             run_filter(m, traj, cfg, np.random.default_rng(0))
         assert steps_taken == []
+
+    # Each bad covariance of a run, on a 1-state or 2-state model, and the
+    # phrase naming the matrix in its ValueError.
+    _BAD_COVARIANCES = {
+        "Q-negative": ("Q", -np.eye(2), "process noise covariance"),
+        "Q-inf": ("Q", [[np.inf]], "process noise covariance"),
+        "Q-nonsymmetric": ("Q", [[1.0, 0.9], [0.0, 1.0]], "process noise covariance"),
+        "R-zero": ("R", [[0.0]], "measurement noise covariance"),
+        "R-negative": ("R", [[-1.0]], "measurement noise covariance"),
+        "R-inf": ("R", [[np.inf]], "measurement noise covariance"),
+        "R-nan": ("R", [[np.nan]], "measurement noise covariance"),
+        "R-1-D": ("R", [1.0], "measurement noise covariance"),
+        "init-inf": ("init_cov", [[np.inf]], "prior covariance"),
+        "init-nonsymmetric": ("init_cov", [[1.0, 5.0], [0.0, 1.0]], "prior covariance"),
+        "init-indefinite": ("init_cov", [[1.0, 2.0], [2.0, 1.0]], "prior covariance"),
+    }
+
+    @pytest.mark.parametrize("variant", FILTER_NAMES)
+    @pytest.mark.parametrize("case", list(_BAD_COVARIANCES))
+    def test_every_bad_covariance_is_rejected_before_first_step(self, variant, case):
+        field, value, name = self._BAD_COVARIANCES[case]
+        value = np.array(value)
+        n = len(value) if field != "R" else 1
+        steps_taken = []
+        base = linear_model(0.5 * np.eye(n), np.eye(n), np.ones((1, n)), [[1.0]])
+
+        def transition(x, k):
+            steps_taken.append(k)
+            return base.transition(x, k)
+
+        m = dataclasses.replace(base, transition=transition)
+        if field != "init_cov":
+            m = dataclasses.replace(m, **{field: value})
+        traj = Trajectory(states=np.ones((3, n)), measurements=np.ones((3, 1)))
+        cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2,
+                           init_cov=value if field == "init_cov" else None)
+        with pytest.raises(ValueError, match=f"^{name} is (zero, )?not symmetric positive definite"):
+            run_filter(m, traj, cfg, np.random.default_rng(0))
+        assert steps_taken == []
+
+    @pytest.mark.parametrize("variant", FILTER_NAMES)
+    def test_zero_process_noise_runs(self, variant):
+        m = linear_model(0.5 * np.eye(2), np.zeros((2, 2)), [[1.0, 1.0]], [[1.0]])
+        traj = Trajectory(states=np.ones((3, 2)), measurements=np.ones((3, 1)))
+        cfg = FilterConfig(variant=variant, particle_count=5, lambda_steps=2)
+        estimates = run_filter(m, traj, cfg, np.random.default_rng(0))
+        assert estimates.shape == (3, 2) and np.isfinite(estimates).all()
 
     def test_divergence_reports_step_index(self):
         exploding = SystemModel(

@@ -97,6 +97,23 @@ class TestBuildCoefficients:
         with pytest.raises(ValueError, match="positive"):
             build_coefficients(np.eye(1), [1.0], 0.0, 1.0, [0.0])
 
+    @pytest.mark.parametrize("R, z", [(np.eye(2), 1.0), (1.0, [1.0, 2.0])], ids=["R-2x2", "z-2"])
+    def test_rejects_more_than_one_noise_or_measurement_entry(self, R, z):
+        with pytest.raises(ValueError, match="one entry each"):
+            build_coefficients(np.eye(1), [1.0], R, z, [0.0])
+
+    @pytest.mark.parametrize("R", [np.inf, np.nan, [[-1.0]]], ids=["inf", "nan", "negative"])
+    def test_rejects_noise_that_is_not_a_covariance(self, R):
+        with pytest.raises(ValueError, match="^measurement noise covariance is not symmetric positive definite"):
+            build_coefficients(np.eye(1), [1.0], R, 1.0, [0.0])
+
+    @pytest.mark.parametrize("H, z, xbar", [
+        ([1.0, np.inf], 1.0, [0.0, 0.0]), ([1.0, 0.0], np.nan, [0.0, 0.0]), ([1.0, 0.0], 1.0, [0.0, -np.inf]),
+    ], ids=["H-inf", "z-nan", "xbar-inf"])
+    def test_rejects_nonfinite_row_measurement_or_mean(self, H, z, xbar):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_coefficients(np.eye(2), H, 1.0, z, xbar)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_rank_one_eigen_identities(self, seed):
         rng = np.random.default_rng(seed)

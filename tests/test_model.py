@@ -1,6 +1,7 @@
 """Tests for the benchmark system models and trajectory simulation."""
 
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -12,6 +13,7 @@ from conftest import linear_model
 from pflow.model import (
     _MAX_TF_CONDITION,
     SystemModel,
+    _covariance_factor,
     _matmul,
     jacobian_check,
     random_coupled_model,
@@ -211,6 +213,18 @@ class TestSimulate:
             np.testing.assert_allclose(traj.states[k - 1], x)
             np.testing.assert_allclose(traj.measurements[k - 1], m.measurement(x))
 
+    @pytest.mark.parametrize("field, name", [("Q", "process noise covariance"),
+                                             ("R", "measurement noise covariance")])
+    @pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                     [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]],
+                             ids=["nonsymmetric", "indefinite", "inf", "nan", "1-D"])
+    def test_rejects_bad_noise_covariance(self, field, name, cov):
+        # Each factor reads one triangle: [[1, 0.5], [0, 1]] would factor as I.
+        m = linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        m = dataclasses.replace(m, **{field: np.array(cov)})
+        with pytest.raises(ValueError, match=f"^{name} is not symmetric positive definite"):
+            simulate(m, np.zeros(2), 3, np.random.default_rng(0))
+
     def test_fixed_seed_is_reproducible(self):
         m = random_coupled_model(4, np.random.default_rng(5))
         a = simulate(m, np.zeros(4), 20, np.random.default_rng(42))
@@ -247,6 +261,23 @@ class TestJacobianCheck:
         m = random_coupled_model(6, rng)
         x = rng.standard_normal(6)
         assert jacobian_check(m, x, 1) < 1e-5
+
+
+class TestCovarianceFactor:
+    """`_covariance_factor`: zeros for the zero matrix, `_cholesky` for an SPD one, else a ValueError."""
+
+    @pytest.mark.parametrize("cov", [np.eye(1), np.array([[4.0, 1.0], [1.0, 3.0]])])
+    def test_spd_factor_is_cholesky(self, cov):
+        assert _covariance_factor(cov, "C").tobytes() == np.linalg.cholesky(cov).tobytes()
+
+    @pytest.mark.parametrize("cov", [
+        2.0, [2.0], np.ones((2, 3)), np.zeros((2, 3)), [[1.0, 1.0], [0.0, 1.0]], -np.eye(2),
+        [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]], [[np.inf]], [[-np.inf]], [[np.nan]],
+    ], ids=["0-d", "1-D", "non-square", "zero-non-square", "nonsymmetric", "negative",
+            "indefinite", "semidefinite", "inf", "-inf", "nan"])
+    def test_rejects_anything_else_naming_the_matrix(self, cov):
+        with pytest.raises(ValueError, match="^the matrix C is not symmetric positive definite"):
+            _covariance_factor(cov, "the matrix C")
 
 
 def _names_cholesky(node):
